@@ -34,7 +34,7 @@
  *       (blocking calls, so WINDOW and WORKERS describe the daemon, not
  *       this process). Socket mode runs no flooder — a blocking client
  *       cannot oversubscribe a remote queue — and skips the in-process
- *       telemetry cross-check (the daemon owns the registry); kBusy
+ *       registry cross-check (the daemon owns its registry); kBusy
  *       replies count as rejections and still fail the run. This is the
  *       load half of the ci_matrix.sh metrics-reconcile leg.
  */
@@ -51,6 +51,7 @@
 
 #include "core/codec.h"
 #include "core/errc.h"
+#include "core/metrics.h"
 #include "core/telemetry.h"
 #include "figure_common.h"
 #include "service/client.h"
@@ -391,24 +392,34 @@ main(int argc, char** argv)
         }
         if (!sane) return 1;
 
-        // Cross-check the scheduler's own accounting when the hooks are
-        // compiled in: the v6 service block must agree with what the
-        // load threads observed. Socket mode has no in-process scheduler
-        // to ask — the daemon's accounting is reconciled externally
-        // (ci_matrix.sh scrapes /metrics against the --stats-file dump).
-        if (!socket_mode && kTelemetryEnabled) {
-            const TelemetrySnapshot snap =
-                service_ptr->telemetry().Snapshot();
-            const auto flood_it = snap.tenants.find("flood");
-            if (flood_it == snap.tenants.end() ||
-                flood_it->second.rejected != flood_rejected ||
-                snap.tenants.size() != config.tenants + 1) {
-                std::fprintf(stderr, "bench_service: telemetry service "
-                                     "block disagrees with the load "
-                                     "generator\n");
+        // Cross-check the scheduler's own accounting: the registry's
+        // flood series must agree with what the load threads observed.
+        // Socket mode has no in-process scheduler to ask — ci_matrix.sh
+        // checks the daemon's /metrics against the completed count.
+        if (!socket_mode) {
+            MetricsRegistry& registry = MetricsRegistry::Global();
+            uint64_t registry_rejected = 0;
+            for (const ServiceBusy::Reason reason :
+                 {ServiceBusy::Reason::kQueueFull,
+                  ServiceBusy::Reason::kInFlight,
+                  ServiceBusy::Reason::kThrottled}) {
+                registry_rejected +=
+                    registry
+                        .GetCounter("fpc_service_rejected_total", "",
+                                    {{"tenant", "flood"},
+                                     {"reason",
+                                      ServiceBusyReasonName(reason)}})
+                        ->Value();
+            }
+            if (registry_rejected != flood_rejected) {
+                std::fprintf(stderr, "bench_service: registry rejects "
+                                     "disagree with the load generator\n");
                 return 1;
             }
-            flood_latency = flood_it->second.latency;
+            flood_latency = registry
+                                .GetHistogram("fpc_service_request_ns", "",
+                                              {{"tenant", "flood"}})
+                                ->Snapshot();
         }
 
         std::string out;

@@ -86,11 +86,18 @@ ThreadSlot()
 
 }  // namespace metrics_internal
 
-std::array<uint64_t, Histogram::kBuckets>
-Histogram::BucketCounts() const
+LatencyHistogram
+Histogram::Snapshot() const
 {
-    std::array<uint64_t, kBuckets> out{};
-    for (size_t i = 0; i < kBuckets; ++i) out[i] = buckets_[i].Sum();
+    LatencyHistogram out;
+    for (size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+        out.buckets[i] = buckets_[i].Sum();
+        out.count += out.buckets[i];
+    }
+    for (const auto& cell : max_ns_) {
+        out.max_ns = std::max(out.max_ns,
+                              cell.load(std::memory_order_relaxed));
+    }
     return out;
 }
 
@@ -276,11 +283,13 @@ MetricsRegistry::Exposition() const
                 break;
             }
             case Kind::kHistogram: {
-                const auto buckets = entry.histogram->BucketCounts();
+                const LatencyHistogram snap = entry.histogram->Snapshot();
                 uint64_t cumulative = 0;
                 size_t next_bit = 0;
                 for (size_t le = kLeFirst; le <= kLeLast; le += kLeStep) {
-                    while (next_bit <= le) cumulative += buckets[next_bit++];
+                    while (next_bit <= le) {
+                        cumulative += snap.buckets[next_bit++];
+                    }
                     char bound[32];
                     std::snprintf(bound, sizeof bound, "%" PRIu64,
                                   (uint64_t{1} << le) - 1);
@@ -290,38 +299,16 @@ MetricsRegistry::Exposition() const
                 }
                 AppendSample(out, entry.name + "_bucket",
                              RenderLabels(entry.labels, "le", "+Inf"),
-                             entry.histogram->Count());
+                             snap.count);
                 AppendSample(out, entry.name + "_sum", labels,
                              entry.histogram->SumNs());
                 AppendSample(out, entry.name + "_count", labels,
-                             entry.histogram->Count());
+                             snap.count);
                 break;
             }
         }
     }
     return out;
-}
-
-void
-MetricsRegistry::SnapshotInto(std::map<std::string, uint64_t>& counters,
-                              std::map<std::string, int64_t>& gauges) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [key, entry] : entries_) {
-        const std::string sample = entry.name + RenderLabels(entry.labels);
-        switch (entry.kind) {
-            case Kind::kCounter:
-                counters[sample] = entry.counter->Value();
-                break;
-            case Kind::kGauge:
-                gauges[sample] = entry.gauge->Value();
-                break;
-            case Kind::kHistogram:
-                counters[sample + "_count"] = entry.histogram->Count();
-                counters[sample + "_sum"] = entry.histogram->SumNs();
-                break;
-        }
-    }
 }
 
 namespace {

@@ -24,21 +24,29 @@
  *    fall back to one overflow cell updated with fetch_add, so
  *    correctness never depends on the slot supply.
  *  - **Snapshot-on-read.** Readers (the exposition renderer, the
- *    telemetry v6 `metrics_snapshot` block) sum the cells with relaxed
- *    loads; writers are never blocked or slowed by a scrape.
+ *    socket server's SERVER_STATS/HEALTH documents, tests holding a
+ *    handle) sum the cells with relaxed loads; writers are never
+ *    blocked or slowed by a scrape.
+ *  - **One owner per counter.** Process-lifetime service and transport
+ *    numbers (per-tenant requests, rejects, bytes, queue wait, request
+ *    latency; frames, connections, protocol errors) live here and
+ *    nowhere else. Per-run cost accounting stays in core/telemetry.h;
+ *    nothing is mirrored between the two.
  *  - **Stable handles.** Get*() registers on first use (one mutex, off
  *    the hot path) and returns a pointer that lives as long as the
  *    registry — call sites look a metric up once and keep the handle.
  *
  * The registry itself is independent of FPC_TELEMETRY: it always
- * compiles and works (tests exercise it directly). What the build flag
- * gates is the *instrumentation* — the service scheduler, the
- * executors' run barrier (RecordRunMetrics), and the arena pool only
- * feed the registry when the telemetry hooks are compiled in.
+ * compiles and works. The service scheduler and the socket server feed
+ * it in every build. What the build flag gates is the per-run
+ * instrumentation: the executors' run barrier (RecordRunMetrics) and
+ * the arena pool only feed the registry when the telemetry hooks are
+ * compiled in.
  */
 #ifndef FPC_CORE_METRICS_H
 #define FPC_CORE_METRICS_H
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <bit>
@@ -121,22 +129,78 @@ class Gauge {
 };
 
 /**
- * Log-bucketed latency histogram, sharded like the counters. Bucket i
- * counts samples with bit_width(ns) == i — the same power-of-two scheme
- * as telemetry's LatencyHistogram, so the two reconcile exactly. The
- * exposition renders cumulative `le` buckets at every other power of
- * two (the full 65-bucket resolution is preserved internally).
+ * Log-bucketed latency histogram (fixed storage, hot-path friendly).
+ * Bucket i holds samples whose bit width is i: bucket 0 = {0 ns},
+ * bucket i = [2^(i-1), 2^i) ns — power-of-two buckets cover the ns..s
+ * range in 65 counters with no allocation. The exact maximum is kept
+ * alongside, so the top quantiles never report a bucket bound past the
+ * largest observed sample. The one histogram value type: telemetry's
+ * per-run stage/chunk digests record into it directly, and the live
+ * registry's sharded Histogram snapshots into it.
+ */
+struct LatencyHistogram {
+    static constexpr size_t kBuckets = 65;  // bit_width(uint64) ∈ [0, 64]
+    std::array<uint64_t, kBuckets> buckets{};
+    uint64_t count = 0;
+    uint64_t max_ns = 0;
+
+    void
+    Record(uint64_t ns)
+    {
+        ++buckets[std::bit_width(ns)];
+        ++count;
+        if (ns > max_ns) max_ns = ns;
+    }
+
+    void
+    Add(const LatencyHistogram& other)
+    {
+        for (size_t i = 0; i < kBuckets; ++i) buckets[i] += other.buckets[i];
+        count += other.count;
+        max_ns = std::max(max_ns, other.max_ns);
+    }
+
+    /** Upper bound of the bucket holding the q-quantile sample (0 when
+     *  empty), clamped to the exact observed maximum. */
+    uint64_t
+    Quantile(double q) const
+    {
+        if (count == 0) return 0;
+        auto rank = static_cast<uint64_t>(q * static_cast<double>(count));
+        if (rank < 1) rank = 1;
+        if (rank > count) rank = count;
+        uint64_t seen = 0;
+        for (size_t i = 0; i < kBuckets; ++i) {
+            seen += buckets[i];
+            if (seen >= rank) {
+                const uint64_t upper =
+                    i == 0 ? 0
+                    : i >= 64 ? UINT64_MAX
+                              : (uint64_t{1} << i) - 1;
+                return std::min(upper, max_ns);
+            }
+        }
+        return max_ns;
+    }
+
+    uint64_t P50() const { return Quantile(0.50); }
+    uint64_t P95() const { return Quantile(0.95); }
+    uint64_t P99() const { return Quantile(0.99); }
+};
+
+/**
+ * Live latency histogram: the LatencyHistogram bucket scheme, sharded
+ * like the counters. The exposition renders cumulative `le` buckets at
+ * every other power of two from Snapshot() (the full 65-bucket
+ * resolution is preserved internally).
  */
 class Histogram {
  public:
-    static constexpr size_t kBuckets = 65;
-
     void
     Record(uint64_t ns)
     {
         const size_t slot = metrics_internal::ThreadSlot();
         buckets_[std::bit_width(ns)].Bump(slot, 1);
-        count_.Bump(slot, 1);
         sum_.Bump(slot, ns);
         // Per-slot max: single writer per owned slot, so a read-compare-
         // store is race-free; the overflow slot accepts the benign race
@@ -147,28 +211,17 @@ class Histogram {
         }
     }
 
-    uint64_t Count() const { return count_.Sum(); }
     uint64_t SumNs() const { return sum_.Sum(); }
 
-    uint64_t
-    MaxNs() const
-    {
-        uint64_t max = 0;
-        for (const auto& cell : max_ns_) {
-            const uint64_t v = cell.load(std::memory_order_relaxed);
-            if (v > max) max = v;
-        }
-        return max;
-    }
-
-    /** Summed per-bit-width bucket counts (index = bit_width). */
-    std::array<uint64_t, kBuckets> BucketCounts() const;
+    /** Summed buckets, count (= the bucket total, so `+Inf` always
+     *  equals `_count`) and max across every slot. */
+    LatencyHistogram Snapshot() const;
 
  private:
     friend class MetricsRegistry;
     Histogram() = default;
-    std::array<metrics_internal::ShardedCell, kBuckets> buckets_{};
-    metrics_internal::ShardedCell count_;
+    std::array<metrics_internal::ShardedCell, LatencyHistogram::kBuckets>
+        buckets_{};
     metrics_internal::ShardedCell sum_;
     std::array<std::atomic<uint64_t>, kMetricSlots + 1> max_ns_{};
 };
@@ -204,12 +257,6 @@ class MetricsRegistry {
      * then label set), so goldens and diffs are stable.
      */
     std::string Exposition() const;
-
-    /** Flat snapshot for the telemetry v6 `metrics_snapshot` block:
-     *  counter and gauge samples keyed "name{label=\"v\",...}" (and
-     *  histogram _count/_sum samples under counters). */
-    void SnapshotInto(std::map<std::string, uint64_t>& counters,
-                      std::map<std::string, int64_t>& gauges) const;
 
  private:
     enum class Kind : uint8_t { kCounter, kGauge, kHistogram };

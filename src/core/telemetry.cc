@@ -1,7 +1,5 @@
 #include "core/telemetry.h"
 
-#include "core/metrics.h"
-
 namespace fpc {
 
 const char*
@@ -85,13 +83,6 @@ Telemetry::AddRangedRead(const RangedTotals& delta)
 }
 
 void
-Telemetry::AddTenant(const std::string& tenant, const TenantStats& delta)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    state_.tenants[tenant].Add(delta);
-}
-
-void
 Telemetry::SetContext(const std::string& executor, Algorithm algorithm,
                       const char* isa)
 {
@@ -111,17 +102,8 @@ Telemetry::SetContext(const std::string& executor,
 TelemetrySnapshot
 Telemetry::Snapshot() const
 {
-    TelemetrySnapshot out;
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        out = state_;
-    }
-    // Mirror the live metrics layer into the snapshot (outside the sink
-    // mutex: the registry has its own) so one exported document carries
-    // both the batch totals and the scrape-reconcilable samples.
-    MetricsRegistry::Global().SnapshotInto(out.metrics_counters,
-                                           out.metrics_gauges);
-    return out;
+    std::lock_guard<std::mutex> lock(mutex_);
+    return state_;
 }
 
 void
@@ -186,40 +168,23 @@ AppendDigest(std::string& out, const char* key,
     if (!last) out += ", ";
 }
 
-/** JSON string literal with the reserved characters escaped — metric
- *  sample names carry quotes from their label sets. */
-void
-AppendJsonString(std::string& out, const std::string& text)
-{
-    out += '"';
-    for (const char c : text) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            default: out += c;
-        }
-    }
-    out += '"';
-}
-
 }  // namespace
 
-// Schema "fpc.telemetry.v6" (v5 + the "metrics_snapshot" live-metrics
-// mirror): the key set, nesting, and the fixed seven-entry stage order
+// Schema "fpc.telemetry.v7" (v6 without the per-tenant service block
+// and the live-metrics mirror, whose numbers the MetricsRegistry
+// owns): the key set, nesting, and the fixed seven-entry stage order
 // below are load-bearing — fpczip --stats, the figure benches' CSV
 // columns, the bench-regression baselines, and
 // tools/check_stats_schema.py all consume this shape. Extend by adding
 // keys; never rename or reorder without bumping the schema tag. The
-// adaptive, service, and metrics_snapshot blocks are always emitted
-// (all-zero / empty for plain library runs) so consumers need no
-// presence checks.
+// adaptive block is always emitted (all-zero for fixed-mode runs) so
+// consumers need no presence checks.
 std::string
 ToJson(const TelemetrySnapshot& snapshot)
 {
     std::string out;
     out.reserve(3072);
-    out += "{\"schema\": \"fpc.telemetry.v6\", ";
+    out += "{\"schema\": \"fpc.telemetry.v7\", ";
     out += "\"executor\": \"" + snapshot.executor + "\", ";
     out += "\"algorithm\": \"" + snapshot.algorithm + "\", ";
     out += "\"isa\": \"" + snapshot.isa + "\", ";
@@ -268,41 +233,7 @@ ToJson(const TelemetrySnapshot& snapshot)
     out += "}, \"arena\": {";
     AppendField(out, "high_water_bytes",
                 snapshot.counters.arena_high_water_bytes, true);
-    out += "}, \"service\": {\"tenants\": {";
-    {
-        size_t i = 0;
-        for (const auto& [tenant, stats] : snapshot.tenants) {
-            if (i++ != 0) out += ", ";
-            out += '"' + tenant + "\": {";
-            AppendField(out, "requests", stats.requests, false);
-            AppendField(out, "rejected", stats.rejected, false);
-            AppendField(out, "failed", stats.failed, false);
-            AppendField(out, "bytes_in", stats.bytes_in, false);
-            AppendField(out, "bytes_out", stats.bytes_out, false);
-            AppendField(out, "queue_ns", stats.queue_ns, false);
-            AppendDigest(out, "request", stats.latency, true);
-            out += '}';
-        }
-    }
-    out += "}}, \"metrics_snapshot\": {\"counters\": {";
-    {
-        size_t i = 0;
-        for (const auto& [name, value] : snapshot.metrics_counters) {
-            if (i++ != 0) out += ", ";
-            AppendJsonString(out, name);
-            out += ": " + std::to_string(value);
-        }
-    }
-    out += "}, \"gauges\": {";
-    {
-        size_t i = 0;
-        for (const auto& [name, value] : snapshot.metrics_gauges) {
-            if (i++ != 0) out += ", ";
-            AppendJsonString(out, name);
-            out += ": " + std::to_string(value);
-        }
-    }
-    out += "}}, \"histograms\": {";
+    out += "}, \"histograms\": {";
     AppendDigest(out, "chunk_encode", snapshot.counters.chunk_latency.encode,
                  false);
     AppendDigest(out, "chunk_decode", snapshot.counters.chunk_latency.decode,

@@ -29,25 +29,25 @@
  *    container totals (asserted by tests/telemetry_test.cc).
  *
  * The JSON exported by ToJson() is a stable, versioned schema
- * ("fpc.telemetry.v6": v5 plus the "metrics_snapshot" block mirroring
- * the live MetricsRegistry, core/metrics.h) consumed by `fpczip
- * --stats`, the eval harness, and the figure benches;
- * tools/check_stats_schema.py pins it. Timeline tracing
+ * ("fpc.telemetry.v7": per-run stage/chunk/ranged/adaptive accounting
+ * only) consumed by `fpczip --stats`, the eval harness, and the figure
+ * benches; tools/check_stats_schema.py pins it. Timeline tracing
  * (span-level, exported as Chrome trace-event JSON) lives in
  * core/trace.h and shares this file's shard/barrier machinery; the
- * live counters/gauges/exposition layer lives in core/metrics.h and is
- * fed from this file's run barrier (RecordRunMetrics).
+ * live counters/gauges/exposition layer lives in core/metrics.h, owns
+ * every process-lifetime service counter, and is fed from this file's
+ * run barrier (RecordRunMetrics).
  */
 #ifndef FPC_CORE_TELEMETRY_H
 #define FPC_CORE_TELEMETRY_H
 
 #include <chrono>
-#include <map>
 #include <mutex>
 #include <span>
 #include <string>
 
 #include "core/arena.h"
+#include "core/metrics.h"
 #include "core/trace.h"
 #include "core/types.h"
 #include "util/common.h"
@@ -110,69 +110,6 @@ struct StageMetrics {
     StageStats encode;
     StageStats decode;
 };
-
-/**
- * Log-bucketed latency histogram (fixed storage, hot-path friendly).
- * Bucket i holds samples whose bit width is i: bucket 0 = {0 ns},
- * bucket i = [2^(i-1), 2^i) ns — power-of-two buckets cover the ns..s
- * range in 65 counters with no allocation. The exact maximum is kept
- * alongside, so the top quantiles never report a bucket bound past the
- * largest observed sample.
- */
-struct LatencyHistogram {
-    static constexpr size_t kBuckets = 65;  // bit_width(uint64) ∈ [0, 64]
-    std::array<uint64_t, kBuckets> buckets{};
-    uint64_t count = 0;
-    uint64_t max_ns = 0;
-
-    void
-    Record(uint64_t ns)
-    {
-        ++buckets[std::bit_width(ns)];
-        ++count;
-        if (ns > max_ns) max_ns = ns;
-    }
-
-    void
-    Add(const LatencyHistogram& other)
-    {
-        for (size_t i = 0; i < kBuckets; ++i) buckets[i] += other.buckets[i];
-        count += other.count;
-        max_ns = std::max(max_ns, other.max_ns);
-    }
-
-    /** Upper bound of the bucket holding the q-quantile sample (0 when
-     *  empty), clamped to the exact observed maximum. */
-    uint64_t
-    Quantile(double q) const
-    {
-        if (count == 0) return 0;
-        auto rank = static_cast<uint64_t>(q * static_cast<double>(count));
-        if (rank < 1) rank = 1;
-        if (rank > count) rank = count;
-        uint64_t seen = 0;
-        for (size_t i = 0; i < kBuckets; ++i) {
-            seen += buckets[i];
-            if (seen >= rank) {
-                const uint64_t upper =
-                    i == 0 ? 0
-                    : i >= 64 ? UINT64_MAX
-                              : (uint64_t{1} << i) - 1;
-                return std::min(upper, max_ns);
-            }
-        }
-        return max_ns;
-    }
-
-    uint64_t P50() const { return Quantile(0.50); }
-    uint64_t P95() const { return Quantile(0.95); }
-    uint64_t P99() const { return Quantile(0.99); }
-};
-
-/** Run-barrier hook into the live metrics layer (core/metrics.h):
- *  folds one merged shard's counters into the process-wide
- *  MetricsRegistry. Never called per chunk. */
-void RecordRunMetrics(const TelemetryShard& merged);
 
 /** Encode + decode latency histograms of one stage / of the chunk loop. */
 struct LatencyMetrics {
@@ -292,34 +229,6 @@ struct RangedTotals {
     }
 };
 
-/**
- * Per-tenant service counters (src/service/service.h): what one tenant's
- * traffic did to a fpc::Service reporting into this sink. `latency` is
- * whole-request (submit to completion, queue wait included) — the
- * tail-latency number a service operator actually answers for.
- */
-struct TenantStats {
-    uint64_t requests = 0;   ///< accepted and executed
-    uint64_t rejected = 0;   ///< ServiceBusy rejections at submission
-    uint64_t failed = 0;     ///< executed but errored (usage/corrupt/...)
-    uint64_t bytes_in = 0;   ///< request payload bytes accepted
-    uint64_t bytes_out = 0;  ///< response payload bytes produced
-    uint64_t queue_ns = 0;   ///< total submit-to-dispatch wait
-    LatencyHistogram latency;  ///< whole-request submit-to-done latency
-
-    void
-    Add(const TenantStats& other)
-    {
-        requests += other.requests;
-        rejected += other.rejected;
-        failed += other.failed;
-        bytes_in += other.bytes_in;
-        bytes_out += other.bytes_out;
-        queue_ns += other.queue_ns;
-        latency.Add(other.latency);
-    }
-};
-
 /** Aggregated view of a sink; a plain value, safe to copy and inspect
  *  after the sink keeps collecting. */
 struct TelemetrySnapshot {
@@ -327,23 +236,13 @@ struct TelemetrySnapshot {
     RunTotals decompress;
     RangedTotals ranged;
     TelemetryShard counters;
-    /** Per-tenant service counters, keyed by tenant id (empty unless a
-     *  fpc::Service reports into this sink). std::map: deterministic
-     *  JSON key order. */
-    std::map<std::string, TenantStats> tenants;
     std::string executor;   ///< last executor name recorded
     std::string algorithm;  ///< last algorithm name recorded
     std::string isa;        ///< kernel ISA the last run dispatched
-    /** Live-metrics mirror (core/metrics.h): every counter and gauge of
-     *  the process-wide MetricsRegistry at snapshot time, keyed by the
-     *  exposition sample name. Lets one document reconcile a /metrics
-     *  scrape against the batch telemetry totals. */
-    std::map<std::string, uint64_t> metrics_counters;
-    std::map<std::string, int64_t> metrics_gauges;
 };
 
 /** Render a snapshot as one line of schema-stable JSON
- *  ("fpc.telemetry.v6"; see DESIGN.md "Observability"). */
+ *  ("fpc.telemetry.v7"; see DESIGN.md "Observability"). */
 std::string ToJson(const TelemetrySnapshot& snapshot);
 
 /**
@@ -369,11 +268,6 @@ class Telemetry {
 
     /** Record one DecompressRange call's touched/skipped totals. */
     void AddRangedRead(const RangedTotals& delta);
-
-    /** Merge one tenant's service counters (src/service). Called by the
-     *  scheduler per completed/rejected request — the delta is tiny and
-     *  the sink mutex is uncontended relative to request cost. */
-    void AddTenant(const std::string& tenant, const TenantStats& delta);
 
     /** Record which backend/algorithm/kernel-ISA the (last) run used. */
     void SetContext(const std::string& executor, Algorithm algorithm,

@@ -60,15 +60,20 @@ SocketServer::SocketServer(ServerConfig config)
         "fpc_server_connections_total", "Connections accepted.");
     metric_open_ = registry.GetGauge("fpc_server_connections_open",
                                      "Connections currently open.");
-    metric_frames_read_ = registry.GetCounter(
+    metric_frames_in_ = registry.GetCounter(
         "fpc_server_frames_total", "Protocol frames by direction.",
         {{"direction", "read"}});
-    metric_frames_written_ = registry.GetCounter(
+    metric_frames_out_ = registry.GetCounter(
         "fpc_server_frames_total", "Protocol frames by direction.",
         {{"direction", "written"}});
     metric_protocol_errors_ = registry.GetCounter(
         "fpc_server_protocol_errors_total",
         "Connections dropped after a malformed frame.");
+    metric_queue_depth_ = registry.GetGauge(
+        "fpc_service_queue_depth",
+        "Requests accepted but not yet dispatched to a worker.");
+    metric_in_flight_ = registry.GetGauge("fpc_service_in_flight",
+                                          "Requests currently executing.");
     accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 
@@ -90,7 +95,6 @@ SocketServer::AcceptLoop()
         }
         const uint64_t id = next_conn_++;
         open_fds_.emplace(id, fd);
-        ++connections_accepted_;
         metric_connections_->Inc();
         metric_open_->Add(1);
         handlers_.emplace_back([this, fd, id] {
@@ -112,11 +116,7 @@ SocketServer::Serve(int fd)
         try {
             have_frame = ReadFrame(fd, body);
             if (!have_frame) break;  // clean disconnect between frames
-            metric_frames_read_->Inc();
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++frames_read_;
-            }
+            metric_frames_in_->Inc();
             ServiceRequest request = DecodeRequest(ByteSpan(body));
             if (request.request_id.empty()) {
                 // Mint a server-side id so every log line and trace
@@ -131,10 +131,6 @@ SocketServer::Serve(int fd)
             // best-effort typed error reply, then drop the connection —
             // the framing cannot be trusted past this point.
             metric_protocol_errors_->Inc();
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++protocol_errors_;
-            }
             response.status = CurrentErrc();
             try {
                 response.error = "protocol error";
@@ -145,11 +141,7 @@ SocketServer::Serve(int fd)
         }
         try {
             WriteFrame(fd, ByteSpan(EncodeResponse(response)));
-            metric_frames_written_->Inc();
-            {
-                std::lock_guard<std::mutex> lock(mutex_);
-                ++frames_written_;
-            }
+            metric_frames_out_->Inc();
         } catch (...) {
             break;  // peer stopped reading
         }
@@ -207,8 +199,9 @@ SocketServer::HealthJson() const
     std::string out = "{\"status\": \"";
     out += draining ? "draining" : "ok";
     out += "\", \"uptime_ns\": " + std::to_string(uptime);
-    out += ", \"queue_depth\": " + std::to_string(service_.QueueDepth());
-    out += ", \"executing\": " + std::to_string(service_.Executing());
+    out += ", \"queue_depth\": " +
+           std::to_string(metric_queue_depth_->Value());
+    out += ", \"executing\": " + std::to_string(metric_in_flight_->Value());
     out += ", \"workers\": " + std::to_string(service_.workers());
     out += ", \"open_connections\": " + std::to_string(open);
     out += '}';
@@ -218,15 +211,22 @@ SocketServer::HealthJson() const
 std::string
 SocketServer::ServerStatsJson() const
 {
-    std::lock_guard<std::mutex> lock(mutex_);
+    bool draining = false;
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        draining = draining_ || shutdown_ || stopped_;
+    }
     std::string out = "{\"connections_accepted\": " +
-                      std::to_string(connections_accepted_);
-    out += ", \"connections_open\": " + std::to_string(open_fds_.size());
-    out += ", \"frames_read\": " + std::to_string(frames_read_);
-    out += ", \"frames_written\": " + std::to_string(frames_written_);
-    out += ", \"protocol_errors\": " + std::to_string(protocol_errors_);
+                      std::to_string(metric_connections_->Value());
+    out += ", \"connections_open\": " + std::to_string(metric_open_->Value());
+    out += ", \"frames_read\": " +
+           std::to_string(metric_frames_in_->Value());
+    out += ", \"frames_written\": " +
+           std::to_string(metric_frames_out_->Value());
+    out += ", \"protocol_errors\": " +
+           std::to_string(metric_protocol_errors_->Value());
     out += ", \"draining\": ";
-    out += (draining_ || shutdown_ || stopped_) ? "true" : "false";
+    out += draining ? "true" : "false";
     out += '}';
     return out;
 }

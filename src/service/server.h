@@ -8,12 +8,13 @@
  * Division of labour: the server owns transport concerns only — accept,
  * frame I/O, decode errors, the control verbs (kStats answers the
  * service telemetry JSON, kMetrics the Prometheus exposition, kHealth
- * and kServerStats their status JSONs, kShutdown resolves
- * WaitForShutdown) — and forwards every compute verb to Service::Call,
- * whose ServiceResponse (success or typed failure, ServiceBusy
- * included) becomes the reply frame verbatim. A connection that sends
- * garbage gets one best-effort error reply and is dropped; the daemon
- * itself never dies on client input (tests/protocol_test.cc).
+ * and kServerStats their status JSONs rendered from the live metrics
+ * registry, kShutdown resolves WaitForShutdown) — and forwards every
+ * compute verb to Service::Call, whose ServiceResponse (success or
+ * typed failure, ServiceBusy included) becomes the reply frame
+ * verbatim. A connection that sends garbage gets one best-effort error
+ * reply and is dropped; the daemon itself never dies on client input
+ * (tests/protocol_test.cc).
  *
  * Requests without a client-propagated id are minted one (`srv-<n>`)
  * before entering the scheduler, so every request log line and trace
@@ -85,11 +86,14 @@ class SocketServer {
     void Drain(std::chrono::milliseconds deadline);
 
     /** Liveness JSON: {"status": "ok"|"draining", "uptime_ns",
-     *  "queue_depth", "executing", "workers", "open_connections"}. */
+     *  "queue_depth", "executing", "workers", "open_connections"};
+     *  queue_depth and executing are the fpc_service_queue_depth and
+     *  fpc_service_in_flight gauges. */
     std::string HealthJson() const;
 
     /** Transport-counter JSON: connections accepted/open, frames
-     *  read/written, protocol errors, draining flag. */
+     *  read/written, protocol errors (the process-wide fpc_server_*
+     *  registry values), draining flag. */
     std::string ServerStatsJson() const;
 
  private:
@@ -111,19 +115,17 @@ class SocketServer {
     std::map<uint64_t, int> open_fds_;  ///< live connection fds, by id
     uint64_t next_conn_ = 0;
 
-    // Transport counters (guarded by mutex_; mirrored into the live
-    // metrics registry as the fpc_server_* family).
-    uint64_t connections_accepted_ = 0;
-    uint64_t frames_read_ = 0;
-    uint64_t frames_written_ = 0;
-    uint64_t protocol_errors_ = 0;
     std::atomic<uint64_t> next_request_id_{0};  ///< srv-<n> minting
 
+    // Live-metrics handles (core/metrics.h), the only owner of the
+    // transport counters; SERVER_STATS and HEALTH render from them.
     Counter* metric_connections_ = nullptr;
     Gauge* metric_open_ = nullptr;
-    Counter* metric_frames_read_ = nullptr;
-    Counter* metric_frames_written_ = nullptr;
+    Counter* metric_frames_in_ = nullptr;
+    Counter* metric_frames_out_ = nullptr;
     Counter* metric_protocol_errors_ = nullptr;
+    const Gauge* metric_queue_depth_ = nullptr;
+    const Gauge* metric_in_flight_ = nullptr;
 
     std::thread accept_thread_;
 };

@@ -111,12 +111,6 @@ Service::Service(ServiceConfig config) : config_(config)
     }
     if (config_.queue_capacity == 0) config_.queue_capacity = 1;
     if (config_.request_threads <= 0) config_.request_threads = 1;
-    if (config_.telemetry != nullptr) {
-        sink_ = config_.telemetry;
-    } else {
-        owned_sink_ = std::make_unique<Telemetry>();
-        sink_ = owned_sink_.get();
-    }
     paused_ = config_.start_paused;
     MetricsRegistry& registry = MetricsRegistry::Global();
     queue_depth_gauge_ = registry.GetGauge(
@@ -124,13 +118,6 @@ Service::Service(ServiceConfig config) : config_(config)
         "Requests accepted but not yet dispatched to a worker.");
     in_flight_gauge_ = registry.GetGauge(
         "fpc_service_in_flight", "Requests currently executing.");
-    queue_wait_hist_ = registry.GetHistogram(
-        "fpc_service_queue_wait_ns",
-        "Per-request queue wait (submit to dispatch), nanoseconds.");
-    request_hist_ = registry.GetHistogram(
-        "fpc_service_request_ns",
-        "Per-request end-to-end latency (submit to completion), "
-        "nanoseconds.");
     throttle_events_ = registry.GetCounter(
         "fpc_service_throttle_events_total",
         "Token-bucket throttle rejections across all tenants.");
@@ -141,12 +128,6 @@ Service::Service(ServiceConfig config) : config_(config)
 }
 
 Service::~Service() { Stop(); }
-
-Telemetry&
-Service::telemetry()
-{
-    return *sink_;
-}
 
 Service::Counters
 Service::counters() const
@@ -160,18 +141,6 @@ Service::QueueDepth() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
     return total_queued_;
-}
-
-size_t
-Service::Executing() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    size_t in_flight = 0;
-    for (const auto& [tenant, state] : tenants_) {
-        in_flight += state.in_flight;
-    }
-    // in_flight counts queued + executing; subtract the queued part.
-    return in_flight > total_queued_ ? in_flight - total_queued_ : 0;
 }
 
 Service::TenantState&
@@ -209,6 +178,16 @@ Service::TenantOf(const std::string& tenant)
             "fpc_service_bytes_total",
             "Request payload and response bytes by tenant and direction.",
             {{"tenant", tenant}, {"direction", "out"}});
+        metrics.queue_wait = registry.GetHistogram(
+            "fpc_service_queue_wait_ns",
+            "Per-request queue wait (submit to dispatch) by tenant, "
+            "nanoseconds.",
+            {{"tenant", tenant}});
+        metrics.request = registry.GetHistogram(
+            "fpc_service_request_ns",
+            "Per-request end-to-end latency (submit to completion) by "
+            "tenant, nanoseconds.",
+            {{"tenant", tenant}});
     }
     return it->second;
 }
@@ -252,11 +231,6 @@ Service::Submit(ServiceRequest request)
             state.metrics.rejected[static_cast<size_t>(reason)]->Inc();
             if (reason == ServiceBusy::Reason::kThrottled) {
                 throttle_events_->Inc();
-            }
-            if (kTelemetryEnabled) {
-                TenantStats delta;
-                delta.rejected = 1;
-                sink_->AddTenant(tenant, delta);
             }
             if (LogEnabled(LogLevel::kDebug)) {
                 const LogField fields[] = {
@@ -425,7 +399,7 @@ Service::Execute(const ServiceRequest& request)
         Options options;
         options.with_threads(config_.request_threads)
             .with_arenas(&arenas_)
-            .with_telemetry(sink_)
+            .with_telemetry(&telemetry_)
             .with_adaptive(request.adaptive);
         if (!request.executor.empty()) {
             options.with_executor(request.executor);
@@ -485,8 +459,8 @@ Service::RecordOutcome(const ServiceRequest& request,
     }
     metrics.bytes_in->Inc(request.payload.size());
     metrics.bytes_out->Inc(response.payload.size());
-    queue_wait_hist_->Record(queue_ns);
-    request_hist_->Record(total_ns);
+    metrics.queue_wait->Record(queue_ns);
+    metrics.request->Record(total_ns);
 
     // One structured line per completed request (core/log.h; failures
     // escalate to warn so they survive the default threshold).
@@ -509,16 +483,6 @@ Service::RecordOutcome(const ServiceRequest& request,
         Log(level, "request", fields);
     }
 
-    if (kTelemetryEnabled) {
-        TenantStats delta;
-        delta.requests = 1;
-        delta.failed = response.status == Errc::kOk ? 0 : 1;
-        delta.bytes_in = request.payload.size();
-        delta.bytes_out = response.payload.size();
-        delta.queue_ns = queue_ns;
-        delta.latency.Record(total_ns);
-        sink_->AddTenant(request.tenant, delta);
-    }
     if (config_.trace != nullptr && kTelemetryEnabled) {
         const uint8_t dir = request.verb == ServiceVerb::kCompress
                                 ? kTraceEncode

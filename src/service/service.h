@@ -30,16 +30,18 @@
  *    points over the same Executor registry, so service output is
  *    byte-identical to library output on every algorithm x backend.
  *
- * Telemetry: per-tenant counters and whole-request latency histograms
- * merge into the service's Telemetry sink and export in the
- * "fpc.telemetry.v6" service block; a TraceSink (ServiceConfig::trace)
- * additionally records one span per request. The scheduler also feeds
- * the live metrics registry (core/metrics.h): admission / rejection /
- * completion counters per tenant and status, queue-depth and in-flight
- * gauges, queue-wait and end-to-end latency histograms — all scrapable
- * via the daemon's /metrics endpoint while requests are in flight.
- * Each completed request additionally emits one structured log line
- * (core/log.h, level info) carrying the request id.
+ * Observability: the live metrics registry (core/metrics.h) is the one
+ * owner of every process-lifetime scheduler number — completions per
+ * tenant, verb and status (failures are the non-ok statuses),
+ * rejections per tenant and reason, bytes in and out per tenant,
+ * per-tenant queue-wait and end-to-end latency histograms, and the
+ * queue-depth and in-flight gauges — all scrapable via the daemon's
+ * /metrics endpoint while requests are in flight, in every build. The
+ * service's Telemetry sink (telemetry()) collects only the per-run
+ * stage/chunk accounting of the library calls it executes; a TraceSink
+ * (ServiceConfig::trace) additionally records one span per request.
+ * Each completed request emits one structured log line (core/log.h,
+ * level info) carrying the request id.
  */
 #ifndef FPC_SERVICE_SERVICE_H
 #define FPC_SERVICE_SERVICE_H
@@ -48,7 +50,6 @@
 #include <deque>
 #include <future>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -140,9 +141,6 @@ struct ServiceConfig {
     int request_threads = 1;
     /** QoS applied to tenants without an explicit SetTenantQos call. */
     TenantQos default_qos;
-    /** External metrics sink; null = the service owns one (telemetry()
-     *  returns it either way). */
-    Telemetry* telemetry = nullptr;
     /** Per-request span tracer; null = no spans. */
     TraceSink* trace = nullptr;
     /** Start with dispatch paused until Resume() — lets a caller stage
@@ -200,8 +198,8 @@ class Service {
      *  Idempotent. */
     void Stop();
 
-    /** The metrics sink service runs report into (owned or external). */
-    Telemetry& telemetry();
+    /** The per-run telemetry sink every executed request reports into. */
+    Telemetry& telemetry() { return telemetry_; }
 
     /** The shared scratch pool (diagnostics: Leases()/Created()). */
     ArenaPool& arenas() { return arenas_; }
@@ -218,12 +216,8 @@ class Service {
     };
     Counters counters() const;
 
-    /** Requests accepted but not yet dispatched (the health endpoint's
-     *  instantaneous queue depth). */
+    /** Requests accepted but not yet dispatched by this service. */
     size_t QueueDepth() const;
-
-    /** Requests currently executing on a worker. */
-    size_t Executing() const;
 
     int workers() const { return static_cast<int>(threads_.size()); }
 
@@ -242,6 +236,8 @@ class Service {
         Counter* rejected[3] = {};     ///< by ServiceBusy::Reason value
         Counter* bytes_in = nullptr;
         Counter* bytes_out = nullptr;
+        Histogram* queue_wait = nullptr;  ///< submit to dispatch
+        Histogram* request = nullptr;     ///< submit to completion
     };
 
     /** Tenant scheduling state. Lives in a std::map, so pointers held
@@ -268,16 +264,13 @@ class Service {
     TenantState& TenantOf(const std::string& tenant);  ///< holds mutex_
 
     ServiceConfig config_;
-    std::unique_ptr<Telemetry> owned_sink_;
-    Telemetry* sink_ = nullptr;
+    Telemetry telemetry_;
     ArenaPool arenas_;
 
     // Process-wide live-metrics handles (core/metrics.h); stable for
     // the registry's lifetime, updated lock-free on the request path.
     Gauge* queue_depth_gauge_ = nullptr;
     Gauge* in_flight_gauge_ = nullptr;
-    Histogram* queue_wait_hist_ = nullptr;
-    Histogram* request_hist_ = nullptr;
     Counter* throttle_events_ = nullptr;
 
     mutable std::mutex mutex_;

@@ -11,7 +11,7 @@
  *    EncodeChunk/DecodeChunk directly, for every algorithm id;
  *  - probe/selection determinism, Options::with_mode and Mode::kAuto
  *    plumbing, Inspect's adaptive fields, ranged reads on adaptive
- *    streams, and the telemetry v6 adaptive counters.
+ *    streams, and the telemetry v7 adaptive counters.
  */
 #include <gtest/gtest.h>
 

@@ -100,14 +100,14 @@ if(NOT original STREQUAL roundtrip)
     message(FATAL_ERROR "round trip through fpczip changed the bytes")
 endif()
 
-# --stats prints one fpc.telemetry.v6 JSON line on stderr; the container
+# --stats prints one fpc.telemetry.v7 JSON line on stderr; the container
 # bytes must be identical to the un-instrumented run. In FPC_TELEMETRY=0
 # builds (TELEMETRY passed by the registering CMakeLists) the line still
 # appears but its context/counters stay empty, so only the schema tag and
 # the byte identity are checked there.
 set(packed_stats "${WORK_DIR}/input-stats.fpcz")
 run_fpczip(0 -c -a SPspeed --stats "${input}" "${packed_stats}")
-if(NOT last_error MATCHES "\\{\"schema\": \"fpc\\.telemetry\\.v6\"")
+if(NOT last_error MATCHES "\\{\"schema\": \"fpc\\.telemetry\\.v7\"")
     message(FATAL_ERROR "--stats did not print a telemetry JSON line: ${last_error}")
 endif()
 if(TELEMETRY)
@@ -143,7 +143,7 @@ if(NOT EXISTS "${stats_json}")
     message(FATAL_ERROR "--stats-file did not create ${stats_json}")
 endif()
 file(READ "${stats_json}" stats_file_line)
-if(NOT stats_file_line MATCHES "^\\{\"schema\": \"fpc\\.telemetry\\.v6\"")
+if(NOT stats_file_line MATCHES "^\\{\"schema\": \"fpc\\.telemetry\\.v7\"")
     message(FATAL_ERROR "--stats-file wrote unexpected content: ${stats_file_line}")
 endif()
 if(NOT EXISTS "${trace_json}")

@@ -103,12 +103,20 @@ TEST(MetricsRegistry, HistogramBucketSumsEqualCount)
         hist->Record(ns);
         sum += ns;
     }
-    EXPECT_EQ(hist->Count(), std::size(samples));
+    const LatencyHistogram snap = hist->Snapshot();
+    EXPECT_EQ(snap.count, std::size(samples));
     EXPECT_EQ(hist->SumNs(), sum);
-    EXPECT_EQ(hist->MaxNs(), uint64_t{999999999});
+    EXPECT_EQ(snap.max_ns, uint64_t{999999999});
     uint64_t bucket_total = 0;
-    for (const uint64_t count : hist->BucketCounts()) bucket_total += count;
-    EXPECT_EQ(bucket_total, hist->Count());
+    for (const uint64_t count : snap.buckets) bucket_total += count;
+    EXPECT_EQ(bucket_total, snap.count);
+    // The snapshot is the telemetry value type: same buckets, same
+    // quantiles as recording the samples into a LatencyHistogram.
+    LatencyHistogram direct;
+    for (const uint64_t ns : samples) direct.Record(ns);
+    EXPECT_EQ(snap.buckets, direct.buckets);
+    EXPECT_EQ(snap.P50(), direct.P50());
+    EXPECT_EQ(snap.P99(), direct.P99());
 }
 
 TEST(MetricsRegistry, ExpositionShapeAndHistogramInvariants)
@@ -167,23 +175,25 @@ TEST(MetricsRegistry, CountersMonotoneAcrossSnapshots)
     Counter* counter = registry.GetCounter("fpc_mono_total", "help");
     Histogram* hist = registry.GetHistogram("fpc_mono_ns", "help");
 
-    std::map<std::string, uint64_t> before_counters, after_counters;
-    std::map<std::string, int64_t> gauges;
     counter->Inc(7);
     hist->Record(100);
-    registry.SnapshotInto(before_counters, gauges);
+    const LatencyHistogram before = hist->Snapshot();
     counter->Inc(2);
     hist->Record(200);
-    registry.SnapshotInto(after_counters, gauges);
+    const LatencyHistogram after = hist->Snapshot();
 
-    ASSERT_EQ(before_counters.size(), after_counters.size());
-    for (const auto& [name, value] : before_counters) {
-        ASSERT_TRUE(after_counters.count(name)) << name;
-        EXPECT_GE(after_counters.at(name), value) << name;
+    for (size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+        EXPECT_GE(after.buckets[i], before.buckets[i]) << i;
     }
-    EXPECT_EQ(after_counters.at("fpc_mono_total"), 9u);
-    EXPECT_EQ(after_counters.at("fpc_mono_ns_count"), 2u);
-    EXPECT_EQ(after_counters.at("fpc_mono_ns_sum"), 300u);
+    EXPECT_EQ(counter->Value(), 9u);
+    EXPECT_EQ(after.count, 2u);
+    EXPECT_EQ(hist->SumNs(), 300u);
+    // The exposition renders the same numbers the handles read.
+    const std::map<std::string, int64_t> samples =
+        ParseSamples(registry.Exposition());
+    EXPECT_EQ(samples.at("fpc_mono_total"), 9);
+    EXPECT_EQ(samples.at("fpc_mono_ns_count"), 2);
+    EXPECT_EQ(samples.at("fpc_mono_ns_sum"), 300);
 }
 
 TEST(MetricsRegistry, SlotReusePastSupplyStaysExact)
@@ -219,7 +229,8 @@ TEST(MetricsRegistry, OverflowSlotKeepsConcurrentWritersExact)
 }
 
 /** Writers hammering all three metric kinds while a scraper loops over
- *  Exposition() and SnapshotInto() — the race the tsan leg watches. */
+ *  Exposition() and Histogram::Snapshot() — the race the tsan leg
+ *  watches. */
 TEST(MetricsRegistry, ConcurrentWritersAndScraper)
 {
     MetricsRegistry registry;
@@ -234,9 +245,8 @@ TEST(MetricsRegistry, ConcurrentWritersAndScraper)
         while (!stop.load(std::memory_order_relaxed)) {
             const std::string exposition = registry.Exposition();
             EXPECT_EQ(exposition.rfind("# fpc.metrics.v1\n", 0), 0u);
-            std::map<std::string, uint64_t> counters;
-            std::map<std::string, int64_t> gauges;
-            registry.SnapshotInto(counters, gauges);
+            const LatencyHistogram snap = hist->Snapshot();
+            EXPECT_LE(snap.count, kWriters * kRounds);
         }
     });
     std::vector<std::thread> writers;
@@ -256,7 +266,7 @@ TEST(MetricsRegistry, ConcurrentWritersAndScraper)
 
     EXPECT_EQ(counter->Value(), kWriters * kRounds);
     EXPECT_EQ(gauge->Value(), 0);
-    EXPECT_EQ(hist->Count(), kWriters * kRounds);
+    EXPECT_EQ(hist->Snapshot().count, kWriters * kRounds);
 }
 
 TEST(MetricsRegistry, LabelValuesAreEscaped)

@@ -18,6 +18,7 @@
 
 #include "core/codec.h"
 #include "core/errc.h"
+#include "core/metrics.h"
 #include "service/client.h"
 #include "service/protocol.h"
 #include "service/server.h"
@@ -41,6 +42,18 @@ TestSocketPath(const char* tag)
 {
     return "/tmp/fpc_proto_" + std::string(tag) + "_" +
            std::to_string(::getpid()) + ".sock";
+}
+
+/** The integer value of @p key in a flat one-line JSON object. */
+uint64_t
+JsonField(const std::string& json, const std::string& key)
+{
+    const std::string needle = "\"" + key + "\": ";
+    const size_t at = json.find(needle);
+    EXPECT_NE(at, std::string::npos) << key << " missing from " << json;
+    return at == std::string::npos
+               ? 0
+               : std::stoull(json.substr(at + needle.size()));
 }
 
 /** RAII socketpair for fd-level frame tests. */
@@ -327,9 +340,9 @@ TEST(ProtocolTest, StatsAndShutdownVerbsWorkOverTheWire)
     const std::string json(
         reinterpret_cast<const char*>(report.payload.data()),
         report.payload.size());
-    EXPECT_EQ(json.rfind("{\"schema\": \"fpc.telemetry.v6\"", 0), 0u);
+    EXPECT_EQ(json.rfind("{\"schema\": \"fpc.telemetry.v7\"", 0), 0u);
     if (kTelemetryEnabled) {
-        EXPECT_NE(json.find("\"service\": {\"tenants\": {\"ops\""),
+        EXPECT_NE(json.find("\"compress\": {\"calls\": 1, "),
                   std::string::npos);
     }
 
@@ -361,7 +374,16 @@ TEST(ProtocolTest, AdminVerbsAnswerOverTheWire)
     ServerConfig config;
     config.socket_path = TestSocketPath("admin");
     config.service.workers = 1;
+    MetricsRegistry& registry = MetricsRegistry::Global();
     SocketServer server(config);
+    // The server registered its fpc_server_* series at construction;
+    // they are process-wide, so earlier tests' traffic is in them.
+    const auto server_metric = [&](const char* name,
+                                   MetricLabels labels = {}) {
+        return registry.GetCounter(name, "", std::move(labels))->Value();
+    };
+    const uint64_t errors_before =
+        server_metric("fpc_server_protocol_errors_total");
     SocketClient client(config.socket_path);
 
     ServiceRequest compress;
@@ -381,11 +403,9 @@ TEST(ProtocolTest, AdminVerbsAnswerOverTheWire)
     const ServiceResponse exposition = client.Call(metrics);
     ASSERT_EQ(exposition.status, Errc::kOk);
     EXPECT_EQ(text(exposition).rfind("# fpc.metrics.v1\n", 0), 0u);
-    if (kTelemetryEnabled) {
-        EXPECT_NE(text(exposition).find(
-                      "fpc_service_requests_total{tenant=\"ops\""),
-                  std::string::npos);
-    }
+    EXPECT_NE(text(exposition).find(
+                  "fpc_service_requests_total{tenant=\"ops\""),
+              std::string::npos);
 
     ServiceRequest health;
     health.verb = ServiceVerb::kHealth;
@@ -397,12 +417,29 @@ TEST(ProtocolTest, AdminVerbsAnswerOverTheWire)
     stats.verb = ServiceVerb::kServerStats;
     const ServiceResponse transport = client.Call(stats);
     ASSERT_EQ(transport.status, Errc::kOk);
-    EXPECT_NE(text(transport).find("\"protocol_errors\": 0"),
-              std::string::npos);
-    EXPECT_NE(text(transport).find("\"draining\": false"),
-              std::string::npos);
+    const std::string json = text(transport);
+    EXPECT_NE(json.find("\"draining\": false"), std::string::npos);
+    EXPECT_EQ(JsonField(json, "connections_open"),
+              static_cast<uint64_t>(
+                  registry.GetGauge("fpc_server_connections_open", "")
+                      ->Value()));
 
+    // Stop joins the handler, so every counter has settled: the
+    // document equals the registry, except frames_written, which the
+    // SERVER_STATS reply itself bumped after rendering.
     server.Stop();
+    EXPECT_EQ(JsonField(json, "connections_accepted"),
+              server_metric("fpc_server_connections_total"));
+    EXPECT_EQ(JsonField(json, "frames_read"),
+              server_metric("fpc_server_frames_total",
+                            {{"direction", "read"}}));
+    EXPECT_EQ(JsonField(json, "frames_written") + 1,
+              server_metric("fpc_server_frames_total",
+                            {{"direction", "written"}}));
+    EXPECT_EQ(JsonField(json, "protocol_errors"),
+              server_metric("fpc_server_protocol_errors_total"));
+    EXPECT_EQ(JsonField(json, "protocol_errors"), errors_before);
+
     ::unlink(config.socket_path.c_str());
 }
 

@@ -4,19 +4,21 @@
  * between the service path and the library path on every algorithm x
  * mode x backend, typed backpressure (queue, in-flight cap, token
  * bucket), round-robin fairness under a flooding tenant, arena-pool
- * reuse, per-tenant telemetry, and the shared Errc mapping.
+ * reuse, the per-tenant live-metrics series, and the shared Errc
+ * mapping.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <future>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/codec.h"
 #include "core/errc.h"
 #include "core/executor.h"
 #include "core/metrics.h"
-#include "core/telemetry.h"
 #include "service/service.h"
 
 namespace fpc {
@@ -39,14 +41,51 @@ MakePayload(size_t values = 50000, unsigned seed = 1)
 
 ServiceConfig
 MakeConfig(int workers, size_t queue_capacity = 256,
-           bool start_paused = false, Telemetry* telemetry = nullptr)
+           bool start_paused = false)
 {
     ServiceConfig config;
     config.workers = workers;
     config.queue_capacity = queue_capacity;
     config.start_paused = start_paused;
-    config.telemetry = telemetry;
     return config;
+}
+
+/** The live counter of @p tenant's successful compress requests. */
+Counter*
+OkCompressions(const std::string& tenant)
+{
+    return MetricsRegistry::Global().GetCounter(
+        "fpc_service_requests_total",
+        "Completed requests by tenant, verb, and status.",
+        {{"tenant", tenant}, {"verb", "compress"}, {"status", "ok"}});
+}
+
+/** What a /metrics scrape reads: the sum of every sample of
+ *  @p exposition named @p name whose label set holds each of
+ *  @p labels (rendered `key="value"`). */
+uint64_t
+Scraped(const std::string& exposition, const std::string& name,
+        const std::vector<std::string>& labels)
+{
+    uint64_t sum = 0;
+    std::istringstream in(exposition);
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#') continue;
+        const size_t space = line.rfind(' ');
+        const size_t brace = line.find('{');
+        const std::string sample_name =
+            line.substr(0, std::min(brace, space));
+        if (sample_name != name) continue;
+        const std::string label_text =
+            brace < space ? line.substr(brace, space - brace) : "";
+        bool match = true;
+        for (const std::string& label : labels) {
+            match = match && label_text.find(label) != std::string::npos;
+        }
+        if (match) sum += std::stoull(line.substr(space + 1));
+    }
+    return sum;
 }
 
 ServiceRequest
@@ -250,36 +289,39 @@ TEST(ServiceTest, TokenBucketThrottlesByPayloadBytes)
 
 TEST(ServiceTest, RoundRobinKeepsFloodedTenantFromStarvingAnother)
 {
-    if (!kTelemetryEnabled) {
-        GTEST_SKIP() << "per-tenant counters need FPC_TELEMETRY=1";
-    }
     // One worker, paused: stage a 30-deep flood from A, then 5 requests
     // from B. Round-robin dispatch alternates A,B,A,B..., so B's last
     // request completes while A still holds most of its backlog. The
     // requests run the ratio pipeline over ~200 KB each, so the
     // remaining backlog is many milliseconds of runway — the snapshot
     // below races the worker by microseconds only.
+    // Completions are read as registry deltas under tenant names no
+    // other test uses (the registry is process-wide).
+    Counter* flooded = OkCompressions("rr-flood");
+    Counter* polite_done = OkCompressions("rr-polite");
+    const uint64_t flooded_before = flooded->Value();
+    const uint64_t polite_before = polite_done->Value();
     Service service(MakeConfig(1, 64, true));
     const Bytes payload = MakePayload();
     std::vector<std::future<ServiceResponse>> flood;
     for (int i = 0; i < 30; ++i) {
-        flood.push_back(service.Submit(
-            CompressRequest(payload, Algorithm::kSPratio, "", false, "A")));
+        flood.push_back(service.Submit(CompressRequest(
+            payload, Algorithm::kSPratio, "", false, "rr-flood")));
     }
     std::vector<std::future<ServiceResponse>> polite;
     for (int i = 0; i < 5; ++i) {
-        polite.push_back(service.Submit(
-            CompressRequest(payload, Algorithm::kSPratio, "", false, "B")));
+        polite.push_back(service.Submit(CompressRequest(
+            payload, Algorithm::kSPratio, "", false, "rr-polite")));
     }
     service.Resume();
     for (auto& future : polite) {
         EXPECT_EQ(future.get().status, Errc::kOk);
     }
-    // B is done; under strict alternation A has executed ~5-6 of 30.
-    // Allow slack for the worker racing ahead between .get() calls.
-    const TelemetrySnapshot snap = service.telemetry().Snapshot();
-    ASSERT_EQ(snap.tenants.at("B").requests, 5u);
-    EXPECT_LE(snap.tenants.at("A").requests, 15u)
+    // The polite tenant is done; under strict alternation the flooder
+    // has executed ~5-6 of 30. Allow slack for the worker racing ahead
+    // between .get() calls.
+    ASSERT_EQ(polite_done->Value() - polite_before, 5u);
+    EXPECT_LE(flooded->Value() - flooded_before, 15u)
         << "flooding tenant starved the polite tenant";
     for (auto& future : flood) {
         EXPECT_EQ(future.get().status, Errc::kOk);
@@ -302,46 +344,99 @@ TEST(ServiceTest, ArenaPoolWarmsUpAndPlateaus)
         << "arena pool kept constructing cold arenas instead of reusing";
 }
 
-TEST(ServiceTest, PerTenantTelemetryLandsInTheServiceBlock)
+TEST(ServiceTest, PerTenantCountersLandInTheRegistry)
 {
-    if (!kTelemetryEnabled) {
-        GTEST_SKIP() << "per-tenant counters need FPC_TELEMETRY=1";
-    }
-    Telemetry sink;
+    // Every per-tenant quantity a service operator reads — requests,
+    // rejects, failures, bytes in and out, queue wait, request latency —
+    // comes back from the same exposition a /metrics scrape returns.
+    // Deltas under tenant names no other test uses: the registry is
+    // process-wide.
+    const std::string climate = "registry-climate";
+    const std::string physics = "registry-physics";
+    const std::string before = MetricsRegistry::Global().Exposition();
+    const Bytes payload = MakePayload(8192);
+    const Bytes garbage(64, std::byte{0x5a});
     {
-        Service service(MakeConfig(2, 256, false, &sink));
-        const Bytes payload = MakePayload(8192);
+        // Paused, so the staged requests provably wait in the queue and
+        // the in-flight cap deterministically bounces the fifth.
+        Service service(MakeConfig(2, 256, /*start_paused=*/true));
+        TenantQos qos;
+        qos.max_in_flight = 4;
+        service.SetTenantQos(climate, qos);
+        std::vector<std::future<ServiceResponse>> staged;
         for (int i = 0; i < 3; ++i) {
-            ASSERT_EQ(service
-                          .Call(CompressRequest(payload,
-                                                Algorithm::kSPspeed, "",
-                                                false, "climate"))
-                          .status,
-                      Errc::kOk);
+            staged.push_back(service.Submit(CompressRequest(
+                payload, Algorithm::kSPspeed, "", false, climate)));
         }
+        ServiceRequest corrupt;
+        corrupt.verb = ServiceVerb::kDecompress;
+        corrupt.tenant = climate;
+        corrupt.payload = garbage;
+        staged.push_back(service.Submit(std::move(corrupt)));
+        EXPECT_THROW((void)service.Submit(CompressRequest(
+                         payload, Algorithm::kSPspeed, "", false, climate)),
+                     ServiceBusy);
+        service.Resume();
+        for (int i = 0; i < 3; ++i) {
+            EXPECT_EQ(staged[i].get().status, Errc::kOk);
+        }
+        EXPECT_EQ(staged[3].get().status, Errc::kCorrupt);
         ASSERT_EQ(service
                       .Call(CompressRequest(payload, Algorithm::kDPspeed,
-                                            "", false, "physics"))
+                                            "", false, physics))
                       .status,
                   Errc::kOk);
     }
-    const TelemetrySnapshot snap = sink.Snapshot();
-    ASSERT_EQ(snap.tenants.size(), 2u);
-    const TenantStats& climate = snap.tenants.at("climate");
-    EXPECT_EQ(climate.requests, 3u);
-    EXPECT_EQ(climate.rejected, 0u);
-    EXPECT_EQ(climate.failed, 0u);
-    EXPECT_EQ(climate.bytes_in, 3u * 8192 * sizeof(float));
-    EXPECT_GT(climate.bytes_out, 0u);
-    EXPECT_EQ(climate.latency.count, 3u);
-    EXPECT_GT(climate.latency.P99(), 0u);
-    EXPECT_EQ(snap.tenants.at("physics").requests, 1u);
+    const std::string after = MetricsRegistry::Global().Exposition();
+    const auto delta = [&](const std::string& name,
+                           const std::vector<std::string>& labels) {
+        return Scraped(after, name, labels) - Scraped(before, name, labels);
+    };
+    const std::string tenant = "tenant=\"" + climate + "\"";
 
-    const std::string json = ToJson(snap);
-    EXPECT_NE(json.find("\"service\": {\"tenants\": {\"climate\": "),
-              std::string::npos);
-    EXPECT_NE(json.find("\"physics\""), std::string::npos);
-    EXPECT_NE(json.find("\"request\": {\"count\": 3"), std::string::npos);
+    // Requests (every status) and failures (the non-ok statuses).
+    EXPECT_EQ(delta("fpc_service_requests_total", {tenant}), 4u);
+    EXPECT_EQ(delta("fpc_service_requests_total",
+                    {tenant, "status=\"ok\""}),
+              3u);
+    EXPECT_EQ(delta("fpc_service_requests_total",
+                    {tenant, "verb=\"decompress\"", "status=\"corrupt\""}),
+              1u);
+    // Rejects, by reason.
+    EXPECT_EQ(delta("fpc_service_rejected_total", {tenant}), 1u);
+    EXPECT_EQ(delta("fpc_service_rejected_total",
+                    {tenant, "reason=\"in-flight\""}),
+              1u);
+    // Bytes: rejected requests are not counted in.
+    EXPECT_EQ(delta("fpc_service_bytes_total",
+                    {tenant, "direction=\"in\""}),
+              3 * payload.size() + garbage.size());
+    EXPECT_GT(delta("fpc_service_bytes_total",
+                    {tenant, "direction=\"out\""}),
+              0u);
+    // Queue wait: one sample per executed request, a nonzero sum (the
+    // requests sat in a paused queue).
+    EXPECT_EQ(delta("fpc_service_queue_wait_ns_count", {tenant}), 4u);
+    EXPECT_GT(delta("fpc_service_queue_wait_ns_sum", {tenant}), 0u);
+    // Request latency: count, +Inf bucket, and quantiles off the handle.
+    EXPECT_EQ(delta("fpc_service_request_ns_count", {tenant}), 4u);
+    EXPECT_EQ(delta("fpc_service_request_ns_bucket",
+                    {tenant, "le=\"+Inf\""}),
+              4u);
+    const LatencyHistogram latency =
+        MetricsRegistry::Global()
+            .GetHistogram("fpc_service_request_ns", "",
+                          {{"tenant", climate}})
+            ->Snapshot();
+    EXPECT_GE(latency.count, 4u);
+    EXPECT_GT(latency.P99(), 0u);
+    // The other tenant's series are its own.
+    EXPECT_EQ(delta("fpc_service_requests_total",
+                    {"tenant=\"" + physics + "\""}),
+              1u);
+    EXPECT_EQ(delta("fpc_service_rejected_total",
+                    {"tenant=\"" + physics + "\""}),
+              0u);
 }
 
 TEST(ServiceTest, LiveMetricsCountersTrackRequests)
@@ -362,11 +457,12 @@ TEST(ServiceTest, LiveMetricsCountersTrackRequests)
         {{"tenant", "metrics-tenant"}, {"direction", "in"}});
     Histogram* request_hist = registry.GetHistogram(
         "fpc_service_request_ns",
-        "Per-request end-to-end latency (submit to completion), "
-        "nanoseconds.");
+        "Per-request end-to-end latency (submit to completion) by "
+        "tenant, nanoseconds.",
+        {{"tenant", "metrics-tenant"}});
     const uint64_t ok_before = ok_compress->Value();
     const uint64_t bytes_before = bytes_in->Value();
-    const uint64_t hist_before = request_hist->Count();
+    const uint64_t hist_before = request_hist->Snapshot().count;
 
     const Bytes payload = MakePayload(20000);
     Service service(MakeConfig(2));
@@ -381,7 +477,7 @@ TEST(ServiceTest, LiveMetricsCountersTrackRequests)
     EXPECT_EQ(ok_compress->Value() - ok_before, kRequests);
     EXPECT_EQ(bytes_in->Value() - bytes_before,
               kRequests * payload.size());
-    EXPECT_GE(request_hist->Count() - hist_before, kRequests);
+    EXPECT_EQ(request_hist->Snapshot().count - hist_before, kRequests);
 
     // The gauges are levels, not totals: everything submitted has
     // completed, so both must read zero for this idle scheduler.

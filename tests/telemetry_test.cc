@@ -333,7 +333,7 @@ TEST(TelemetryCompileSwitch, OffBuildCollectsNothing)
         EXPECT_TRUE(snap.executor.empty());
     }
     // The JSON schema line renders either way.
-    EXPECT_NE(sink.ToJson().find("\"schema\": \"fpc.telemetry.v6\""),
+    EXPECT_NE(sink.ToJson().find("\"schema\": \"fpc.telemetry.v7\""),
               std::string::npos);
 }
 
@@ -346,13 +346,18 @@ TEST(TelemetryJson, SchemaShape)
     Decompress(ByteSpan(compressed), options);
     const std::string json = sink.ToJson();
     for (const char* field :
-         {"\"schema\": \"fpc.telemetry.v6\"", "\"compress\"",
+         {"\"schema\": \"fpc.telemetry.v7\"", "\"compress\"",
           "\"decompress\"", "\"ranged\"", "\"chunks\"", "\"adaptive\"",
-          "\"mplg\"", "\"arena\"", "\"service\"", "\"tenants\"",
-          "\"stages\"", "\"DIFFMS\"", "\"RARE\"", "\"histograms\"",
-          "\"chunk_encode\"", "\"chunk_decode\"", "\"latency\"",
-          "\"p50_ns\"", "\"p95_ns\"", "\"p99_ns\"", "\"max_ns\""}) {
+          "\"mplg\"", "\"arena\"", "\"stages\"", "\"DIFFMS\"",
+          "\"RARE\"", "\"histograms\"", "\"chunk_encode\"",
+          "\"chunk_decode\"", "\"latency\"", "\"p50_ns\"", "\"p95_ns\"",
+          "\"p99_ns\"", "\"max_ns\""}) {
         EXPECT_NE(json.find(field), std::string::npos) << field;
+    }
+    // v7 dropped the blocks whose numbers the metrics registry owns.
+    for (const char* retired :
+         {"\"service\"", "\"tenants\"", "\"metrics_snapshot\""}) {
+        EXPECT_EQ(json.find(retired), std::string::npos) << retired;
     }
     sink.Reset();
     const TelemetrySnapshot after = sink.Snapshot();

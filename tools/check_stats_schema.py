@@ -4,13 +4,10 @@
 Reads stdin (or the files named on the command line) line by line and
 validates every JSON object whose schema tag it recognises:
 
-``fpc.telemetry.v6`` (``Telemetry::ToJson``, src/core/telemetry.cc):
+``fpc.telemetry.v7`` (``Telemetry::ToJson``, src/core/telemetry.cc):
   - top-level keys: schema, executor, algorithm, isa, compress,
-    decompress, ranged, chunks, adaptive, mplg, arena, service,
-    metrics_snapshot, histograms, stages;
-  - metrics_snapshot: the live-metrics mirror — "counters" (exposition
-    sample name -> non-negative integer) and "gauges" (name -> integer,
-    may be negative);
+    decompress, ranged, chunks, adaptive, mplg, arena, histograms,
+    stages;
   - isa names the dispatched kernel level (scalar/avx2/avx512);
   - compress/decompress: calls, input_bytes, output_bytes, wall_ns — all
     non-negative integers;
@@ -25,10 +22,6 @@ validates every JSON object whose schema tag it recognises:
     in-margin candidate may be trial-encoded);
   - mplg: subchunks, enhanced_subchunks with enhanced <= subchunks;
   - arena: high_water_bytes;
-  - service (the fpc::Service per-tenant block; empty tenants map for
-    library-only runs): each tenant has requests, rejected, failed,
-    bytes_in, bytes_out, queue_ns counters (failed <= requests) plus a
-    "request" whole-request latency digest whose count == requests;
   - histograms: chunk_encode and chunk_decode latency digests (count,
     p50_ns, p95_ns, p99_ns, max_ns with p50 <= p95 <= p99 <= max), with
     chunks.encoded == chunk_encode.count + adaptive.trials (each margin
@@ -79,7 +72,7 @@ import json
 import re
 import sys
 
-TELEMETRY_TAG = "fpc.telemetry.v6"
+TELEMETRY_TAG = "fpc.telemetry.v7"
 TRACE_TAG = "fpc.trace.v1"
 BENCH_TAG = "fpc.bench.v1"
 METRICS_TAG = "fpc.metrics.v1"
@@ -102,19 +95,8 @@ TOP_KEYS = [
     "adaptive",
     "mplg",
     "arena",
-    "service",
-    "metrics_snapshot",
     "histograms",
     "stages",
-]
-
-TENANT_FIELDS = [
-    "requests",
-    "rejected",
-    "failed",
-    "bytes_in",
-    "bytes_out",
-    "queue_ns",
 ]
 
 RANGED_FIELDS = [
@@ -258,48 +240,6 @@ def check_telemetry(line_no, doc):
     arena = doc["arena"]
     if not isinstance(arena.get("high_water_bytes"), int):
         ok = fail(line_no, "arena.high_water_bytes missing or invalid")
-
-    service = doc["service"]
-    tenants = service.get("tenants") if isinstance(service, dict) else None
-    if not isinstance(tenants, dict):
-        ok = fail(line_no, "service.tenants missing or not an object")
-    else:
-        for name, tenant in tenants.items():
-            where = f"service.tenants[{name!r}]"
-            if not isinstance(tenant, dict):
-                ok = fail(line_no, f"{where} is not an object")
-                continue
-            for field in TENANT_FIELDS:
-                value = tenant.get(field)
-                if not isinstance(value, int) or value < 0:
-                    ok = fail(line_no, f"{where}.{field} missing or not a"
-                                       f" non-negative integer: {value!r}")
-            digest = tenant.get("request")
-            if not isinstance(digest, dict):
-                ok = fail(line_no, f"{where} lacks a request digest")
-                continue
-            ok = check_digest(line_no, f"{where}.request", digest) and ok
-            if ok and tenant["failed"] > tenant["requests"]:
-                ok = fail(line_no, f"{where}.failed exceeds requests")
-            if ok and digest["count"] != tenant["requests"]:
-                ok = fail(line_no, f"{where}.request.count !="
-                                   f" {where}.requests")
-
-    snapshot = doc["metrics_snapshot"]
-    if not isinstance(snapshot, dict) \
-            or sorted(snapshot) != ["counters", "gauges"]:
-        ok = fail(line_no, "metrics_snapshot must hold exactly"
-                           f" counters + gauges, got {snapshot!r}")
-    else:
-        for name, value in snapshot["counters"].items():
-            if not isinstance(value, int) or value < 0:
-                ok = fail(line_no, f"metrics_snapshot.counters[{name!r}]"
-                                   f" not a non-negative integer:"
-                                   f" {value!r}")
-        for name, value in snapshot["gauges"].items():
-            if not isinstance(value, int):
-                ok = fail(line_no, f"metrics_snapshot.gauges[{name!r}]"
-                                   f" not an integer: {value!r}")
 
     hists = doc["histograms"]
     if not isinstance(hists, dict):

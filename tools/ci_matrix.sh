@@ -43,11 +43,11 @@
 #
 # The default leg also runs a mode=auto smoke (compress a mixed corpus
 # adaptively, inspect the v3 per-chunk table, decode on the gpusim
-# backend, byte-compare, and schema-check the v6 adaptive telemetry) and
+# backend, byte-compare, and schema-check the v7 adaptive telemetry) and
 # a service daemon smoke: fpcd on a unix socket, concurrent fpcc
 # roundtrips for all four algorithms plus mode=auto on the gpusim
 # backend, every container byte-compared against the library path, and
-# the daemon's v6 stats (per-tenant service block) schema-checked.
+# the daemon's v7 stats schema-checked.
 #
 # Each configuration builds into build-matrix/<name> so the normal
 # ./build tree is left alone. Exits non-zero on the first failure.
@@ -84,7 +84,7 @@ python3 "${root}/tools/check_stats_schema.py" "${out}/default/ci_trace.json"
 # of the decode must stay well below the compressed size — the pool holds
 # a fixed number of frames in flight, never the file. A ranged read out
 # of the same file then exercises the seek index end to end and its
-# fpc.telemetry.v6 ranged counters are schema-checked.
+# fpc.telemetry.v7 ranged counters are schema-checked.
 echo "==> [default] large-file streaming smoke"
 large_dir="${out}/default/large_smoke"
 rm -rf "${large_dir}"
@@ -167,8 +167,8 @@ rm -rf "${auto_dir}"
 # backend, one tenant each. Every compressed container is byte-compared
 # against the library path (fpczip with the same knobs), every
 # roundtrip against the input. The daemon's stats (live via `fpcc
-# stats` and the --stats-file written at shutdown) carry the v6
-# per-tenant service block and are schema-checked.
+# stats` and the --stats-file written at shutdown) carry the v7
+# per-run stage/chunk accounting and are schema-checked.
 echo "==> [default] service daemon smoke"
 svc_dir="${out}/default/service_smoke"
 rm -rf "${svc_dir}"
@@ -243,10 +243,13 @@ rm -rf "${svc_dir}"
 # exporter, driven by bench_service in socket mode (polite tenants over
 # real daemon connections). Mid-run the HTTP /metrics endpoint is
 # scraped with a 50 ms latency budget and schema-checked; after the
-# load settles a final scrape is taken, the daemon is drained with
-# SIGTERM, and the scraped fpc_service_requests_total samples must
-# reconcile *exactly* with the per-tenant request totals in the v6
-# telemetry the daemon wrote to --stats-file at shutdown.
+# load settles a final scrape is taken and the daemon is drained with
+# SIGTERM. The registry is checked against an outside truth, the
+# requests bench_service completed (it exits non-zero on any failure):
+# the sum of the ok fpc_service_requests_total samples must equal
+# TENANTS x 2 x REQUESTS both in the final scrape and in the
+# exposition fpcd writes to stderr at drain. The v7 telemetry the
+# daemon wrote to --stats-file is schema-checked.
 echo "==> [default] live metrics + drain reconcile"
 met_dir="${out}/default/metrics_smoke"
 rm -rf "${met_dir}"
@@ -267,8 +270,11 @@ while [ ! -S "${met_sock}" ] || [ ! -S "${met_http}" ]; do
     fi
     sleep 0.1
 done
+met_tenants=4
+met_requests=32
 FPC_BENCH_SERVICE_SOCKET="${met_sock}" \
-    FPC_BENCH_SERVICE_TENANTS=4 FPC_BENCH_SERVICE_REQUESTS=32 \
+    FPC_BENCH_SERVICE_TENANTS="${met_tenants}" \
+    FPC_BENCH_SERVICE_REQUESTS="${met_requests}" \
     FPC_BENCH_SERVICE_VALUES=65536 \
     "${out}/default/bench/bench_service" "${met_dir}/bench.json" \
     2> "${met_dir}/bench_stderr.log" &
@@ -317,8 +323,9 @@ python3 "${root}/tools/check_stats_schema.py" \
     | grep -q '"status": "ok"'
 "${out}/default/fpcc" "--socket=${met_sock}" server_stats \
     | grep -q '"protocol_errors": 0'
-# Final scrape with the daemon idle, then a SIGTERM drain; the
-# shutdown telemetry must agree with the last scrape to the request.
+# Final scrape with the daemon idle, then a SIGTERM drain; both the
+# last scrape and the drain-time exposition must count exactly the
+# requests bench_service completed.
 python3 - "${met_http}" "${met_dir}/scrape_final.txt" 5000 <<'EOF'
 import socket, sys, time
 path, out, budget_ms = sys.argv[1], sys.argv[2], float(sys.argv[3])
@@ -343,34 +350,19 @@ kill -TERM "${met_pid}"
 wait "${met_pid}"
 python3 "${root}/tools/check_stats_schema.py" "${met_dir}/fpcd_stats.json"
 grep -q '"event": "drain_begin"' "${met_dir}/fpcd_stderr.log"
-python3 - "${met_dir}/scrape_final.txt" "${met_dir}/fpcd_stats.json" <<'EOF'
-import json, re, sys
-scrape_path, stats_path = sys.argv[1], sys.argv[2]
-scraped = 0
-sample = re.compile(r'^fpc_service_requests_total(?:\{[^}]*\})? (\d+)$')
-with open(scrape_path) as f:
-    for line in f:
-        m = sample.match(line.strip())
-        if m:
-            scraped += int(m.group(1))
-doc = None
-with open(stats_path) as f:
-    for line in f:
-        line = line.strip()
-        if line.startswith("{"):
-            parsed = json.loads(line)
-            if parsed.get("schema") == "fpc.telemetry.v6":
-                doc = parsed
-if doc is None:
-    sys.exit("metrics smoke: no telemetry document in the stats file")
-telemetry = sum(t["requests"] for t in doc["service"]["tenants"].values())
-mirror = sum(v for k, v in doc["metrics_snapshot"]["counters"].items()
-             if k.startswith("fpc_service_requests_total"))
-print(f"metrics smoke: scrape={scraped} telemetry={telemetry} "
-      f"snapshot={mirror} completed requests")
-if scraped == 0 or scraped != telemetry or mirror != telemetry:
-    sys.exit("metrics smoke: scraped request totals do not reconcile "
-             "with the shutdown telemetry")
+python3 - "$((met_tenants * 2 * met_requests))" \
+    "${met_dir}/scrape_final.txt" "${met_dir}/fpcd_stderr.log" <<'EOF'
+import re, sys
+completed = int(sys.argv[1])
+ok = re.compile(r'^fpc_service_requests_total\{[^}]*status="ok"[^}]*\} (\d+)$')
+for path in sys.argv[2:]:
+    with open(path, errors="replace") as f:
+        total = sum(int(m.group(1)) for m in map(ok.match, f) if m)
+    print(f"metrics smoke: {path}: {total} ok requests "
+          f"(bench_service completed {completed})")
+    if total != completed:
+        sys.exit("metrics smoke: the registry does not count the requests "
+                 "bench_service completed")
 EOF
 rm -rf "${met_dir}"
 

@@ -14,8 +14,7 @@
  *        [--tenant=ID] IN OUT
  *   fpcc --socket=PATH inspect IN           one JSON line of metadata
  *   fpcc --socket=PATH stats                daemon telemetry JSON
- *        ("fpc.telemetry.v6", incl. the per-tenant "service" block and
- *        the "metrics_snapshot" mirror of the live registry)
+ *        ("fpc.telemetry.v7": per-run stage/chunk accounting)
  *   fpcc --socket=PATH metrics              Prometheus text exposition
  *        of the daemon's live metrics (fpc.metrics.v1)
  *   fpcc --socket=PATH health               daemon health JSON (status,

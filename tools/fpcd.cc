@@ -25,11 +25,11 @@
  *                     (default 8).
  * --max-in-flight=N   default per-tenant cap on queued + executing
  *                     requests (default: unlimited).
- * --stats-file=PATH   write the final "fpc.telemetry.v6" JSON line
- *                     (per-stage counters, the per-tenant "service"
- *                     block, and the "metrics_snapshot" mirror) to PATH
- *                     on shutdown. `fpcc stats` reads the same JSON
- *                     live.
+ * --stats-file=PATH   write the final "fpc.telemetry.v7" JSON line
+ *                     (per-run stage/chunk counters of every executed
+ *                     request) to PATH on shutdown. `fpcc stats` reads
+ *                     the same JSON live; per-tenant numbers live in
+ *                     the metrics exposition.
  * --trace=FILE        record one span per request and write a Chrome
  *                     trace-event timeline to FILE on shutdown.
  * --metrics-socket=PATH  serve HTTP `GET /metrics` (Prometheus text
@@ -61,7 +61,6 @@
 #include "core/errc.h"
 #include "core/log.h"
 #include "core/metrics.h"
-#include "core/telemetry.h"
 #include "core/trace.h"
 #include "service/metrics_http.h"
 #include "service/server.h"
@@ -119,7 +118,6 @@ main(int argc, char** argv)
         std::string trace_path;
         std::string metrics_socket;
         uint64_t drain_ms = 5000;
-        fpc::Telemetry stats_sink;
         fpc::TraceSink trace_sink;
         // The daemon is the one front-end where a request log is the
         // point: default to info unless the environment or --log-level
@@ -180,7 +178,6 @@ main(int argc, char** argv)
             }
         }
         if (config.socket_path.empty()) return Usage();
-        config.service.telemetry = &stats_sink;
         if (!trace_path.empty()) config.service.trace = &trace_sink;
 
         std::signal(SIGINT, OnSignal);
@@ -223,7 +220,7 @@ main(int argc, char** argv)
             if (out == nullptr) {
                 throw fpc::UsageError("cannot open " + stats_path);
             }
-            std::fprintf(out, "%s\n", stats_sink.ToJson().c_str());
+            std::fprintf(out, "%s\n", server.service().telemetry().ToJson().c_str());
             std::fclose(out);
         }
         if (!trace_path.empty() && !trace_sink.WriteJson(trace_path)) {

@@ -34,7 +34,7 @@
  * --backend selects an executor-registry backend (cpu, gpusim:4090,
  *    gpusim:a100); all backends produce bit-identical containers (see
  *    DESIGN.md). -g is shorthand for --backend=gpusim:4090.
- * --stats prints one "fpc.telemetry.v6" JSON line (per-stage wall time
+ * --stats prints one "fpc.telemetry.v7" JSON line (per-stage wall time
  *    and byte flow, chunk/raw counts, latency histogram digests; see
  *    DESIGN.md "Observability") to stderr after a -c/-d run, so stdout
  *    stays scriptable.
