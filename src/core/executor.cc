@@ -13,6 +13,7 @@
 #include "core/orchestrate.h"
 #include "core/telemetry.h"
 #include "gpusim/launch.h"
+#include "util/hash.h"
 
 namespace fpc {
 
@@ -74,9 +75,63 @@ WorkerId()
 }
 
 /**
- * The paper's CPU implementation: chunks dynamically scheduled across
- * OpenMP threads (Options::threads), per-thread scratch arenas, and the
- * two-pass prefix-sum container assembly from core/orchestrate.h.
+ * The CPU chunk loop: @p threads workers claim chunk indices from one
+ * shared atomic cursor and run @p chunk(worker, c) on each. Before every
+ * claim, worker 0 first runs @p lane() — the content checksum lane
+ * (DESIGN.md §3a) — so the serial hash overlaps the chunk work instead of
+ * following it. Worker 0 leaves once the cursor is exhausted; it never
+ * waits for the others. The first exception stops all claiming and is
+ * returned once every worker has joined.
+ */
+template <typename ChunkFn, typename LaneFn>
+std::exception_ptr
+ClaimChunks(int threads, size_t n_chunks, const ChunkFn& chunk,
+            const LaneFn& lane)
+{
+    std::atomic<size_t> cursor{0};
+    std::atomic<bool> failed{false};
+    std::exception_ptr first_error;
+#ifdef _OPENMP
+#pragma omp parallel num_threads(threads)
+#endif
+    {
+        const auto worker = static_cast<uint32_t>(WorkerId());
+        try {
+            while (!failed.load(std::memory_order_relaxed)) {
+                if (worker == 0) lane();
+                const size_t c =
+                    cursor.fetch_add(1, std::memory_order_relaxed);
+                if (c >= n_chunks) break;
+                chunk(worker, c);
+            }
+        } catch (...) {
+#ifdef _OPENMP
+#pragma omp critical
+#endif
+            {
+                if (!failed.exchange(true)) {
+                    first_error = std::current_exception();
+                }
+            }
+        }
+    }
+    (void)threads;
+    return first_error;
+}
+
+/** Worker @p arena's trace ring, nullptr when not tracing. */
+TraceRing*
+RingOf(ScratchArena& arena)
+{
+    TelemetryShard* shard = arena.Telemetry();
+    return shard != nullptr ? shard->trace : nullptr;
+}
+
+/**
+ * The paper's CPU implementation: chunks claimed dynamically by OpenMP
+ * threads (Options::threads), per-thread scratch arenas, the content
+ * checksum folded on worker 0 alongside the chunk work, and the two-pass
+ * prefix-sum container assembly from core/orchestrate.h.
  */
 class CpuExecutor final : public Executor {
  public:
@@ -128,9 +183,10 @@ class CpuExecutor final : public Executor {
             chunk_src = ByteSpan(work);
         }
 
-        // Pass 1 (paper Section 3): chunks are dynamically assigned to
+        // Pass 1 (paper Section 3): chunks are dynamically claimed by
         // threads; each encodes into its worker's arena-retained buffer —
-        // no allocations per chunk once the arenas are warm.
+        // no allocations per chunk once the arenas are warm. Worker 0
+        // hashes the input before its first claim.
         const size_t n_chunks = ChunkCountOf(chunk_src.size());
         EncodePlan plan(n_chunks);
         if (adaptive) plan.EnableAdaptive();
@@ -141,16 +197,24 @@ class CpuExecutor final : public Executor {
         for (ScratchArena& arena : arenas) arena.SetKernelIsa(isa);
         scope.HintChunks(n_chunks);
         scope.Attach(arenas);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-#endif
-        for (std::int64_t c = 0; c < static_cast<std::int64_t>(n_chunks);
-             ++c) {
-            const auto worker = static_cast<uint32_t>(WorkerId());
+        uint64_t checksum = 0;
+        bool hashed = false;
+        const auto hash_input = [&] {
+            if (hashed) return;
+            hashed = true;
+            TraceRing* ring = RingOf(arenas[0]);
+            const uint64_t t0 = ring != nullptr ? TelemetryNowNs() : 0;
+            checksum = Checksum64(input);
+            if (ring != nullptr) {
+                ring->Record(TraceSpanKind::kChecksum, kTraceEncode, 0, 0,
+                             t0, TelemetryNowNs());
+            }
+        };
+        const auto encode = [&](uint32_t worker, size_t c) {
             ScratchArena& scratch = arenas[worker];
             TelemetryShard* shard = scratch.Telemetry();
             TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-            if (ring != nullptr) ring->SetChunk(static_cast<uint64_t>(c));
+            if (ring != nullptr) ring->SetChunk(c);
             const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
             bool raw = false;
             ByteSpan payload;
@@ -168,16 +232,22 @@ class CpuExecutor final : public Executor {
                 const uint64_t t1 = TelemetryNowNs();
                 shard->OnChunkEncode(t1 - t0);
                 if (ring != nullptr) {
-                    ring->Record(TraceSpanKind::kChunk, kTraceEncode, 0,
-                                 static_cast<uint64_t>(c), t0, t1);
+                    ring->Record(TraceSpanKind::kChunk, kTraceEncode, 0, c,
+                                 t0, t1);
                 }
             }
+        };
+        if (std::exception_ptr error =
+                ClaimChunks(threads, n_chunks, encode, hash_input)) {
+            scope.Finish(arenas);
+            std::rethrow_exception(error);
         }
 
         const ContainerHeader header =
-            adaptive ? MakeAdaptiveContainerHeader(algorithm, input)
-                     : MakeContainerHeader(algorithm, input,
-                                           chunk_src.size());
+            adaptive ? MakeAdaptiveContainerHeader(algorithm, input.size(),
+                                                   checksum)
+                     : MakeContainerHeader(algorithm, input.size(),
+                                           chunk_src.size(), checksum);
         const WritePositions wp = ComputeWritePositions(plan.sizes);
         Bytes out = AssembleContainer(header, plan, wp.offsets, wp.total,
                                       arenas, threads);
@@ -190,7 +260,7 @@ class CpuExecutor final : public Executor {
     Decompress(ByteSpan compressed, const Options& options) const override
     {
         return RunDecompress(compressed, DecodeChunks(options),
-                             PreDecode(options));
+                             PreDecode(options), TraceOf(options));
     }
 
     void
@@ -198,25 +268,29 @@ class CpuExecutor final : public Executor {
                    const Options& options) const override
     {
         RunDecompressInto(compressed, out, DecodeChunks(options),
-                          PreDecode(options));
+                          PreDecode(options), TraceOf(options));
     }
 
     void
     DecodeChunks(const ContainerView& view, const PipelineSpec& spec,
                  std::byte* dest, const Options& options) const override
     {
-        DecodeChunks(options)(view, spec, dest);
+        DecodeChunks(options)(view, spec, dest, nullptr);
     }
 
  private:
-    /** Chunk decode hook: dynamic OpenMP loop, one arena per worker, the
-     *  last pipeline stage writing straight into the chunk's slot. */
+    /** Chunk decode hook: shared-cursor loop, one arena per worker, the
+     *  last pipeline stage writing straight into the chunk's slot. Given
+     *  a checksum cursor, each decoded chunk publishes a release flag and
+     *  worker 0 folds the longest ready in-order prefix before each of
+     *  its claims; RunDecompress folds whatever is left after the join. */
     static DecodeChunksFn
     DecodeChunks(const Options& options)
     {
         return [options](const ContainerView& view, const PipelineSpec& spec,
-                         std::byte* dest) {
+                         std::byte* dest, Checksum64Stream* checksum) {
             const size_t transformed_size = view.header.transformed_size;
+            const size_t n_chunks = view.header.chunk_count;
             const int threads = EffectiveThreads(options);
             ArenaLease lease = AcquireScratch(options.arenas,
                                               static_cast<size_t>(threads));
@@ -225,61 +299,63 @@ class CpuExecutor final : public Executor {
             for (ScratchArena& arena : arenas) arena.SetKernelIsa(isa);
             TelemetryRunScope scope(SinkOf(options), TraceOf(options),
                                     static_cast<size_t>(threads));
-            scope.HintChunks(view.header.chunk_count);
+            scope.HintChunks(n_chunks);
             scope.Attach(arenas);
-            std::atomic<bool> failed{false};
-            std::exception_ptr first_error;
-            const auto n_chunks =
-                static_cast<std::int64_t>(view.header.chunk_count);
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic) num_threads(threads)
-#endif
-            for (std::int64_t c = 0; c < n_chunks; ++c) {
-                if (failed.load(std::memory_order_relaxed)) continue;
-                try {
-                    ScratchArena& scratch =
-                        arenas[static_cast<size_t>(WorkerId())];
-                    TelemetryShard* shard = scratch.Telemetry();
-                    TraceRing* ring =
-                        shard != nullptr ? shard->trace : nullptr;
+
+            std::vector<std::atomic<uint8_t>> ready(
+                checksum != nullptr ? n_chunks : 0);
+            size_t folded = 0;  // chunks [0, folded) are in *checksum
+            const auto fold_ready = [&] {
+                if (checksum == nullptr) return;
+                size_t end = folded;
+                while (end < n_chunks &&
+                       ready[end].load(std::memory_order_acquire) != 0) {
+                    ++end;
+                }
+                if (end == folded) return;
+                TraceRing* ring = RingOf(arenas[0]);
+                const uint64_t t0 = ring != nullptr ? TelemetryNowNs() : 0;
+                const size_t begin = folded * kChunkSize;
+                checksum->Update(ByteSpan(
+                    dest + begin,
+                    std::min(end * kChunkSize, transformed_size) - begin));
+                if (ring != nullptr) {
+                    ring->Record(TraceSpanKind::kChecksum, kTraceDecode, 0,
+                                 folded, t0, TelemetryNowNs());
+                }
+                folded = end;
+            };
+            const auto decode = [&](uint32_t worker, size_t c) {
+                ScratchArena& scratch = arenas[worker];
+                TelemetryShard* shard = scratch.Telemetry();
+                TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
+                if (ring != nullptr) ring->SetChunk(c);
+                const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
+                ByteSpan payload = view.payload.subspan(view.chunk_offsets[c],
+                                                        view.chunk_sizes[c]);
+                DecodeChunk(ChunkSpec(view, spec, c), payload,
+                            view.chunk_raw[c],
+                            ChunkSlotAt(dest, transformed_size, c), scratch);
+                if (checksum != nullptr) {
+                    ready[c].store(1, std::memory_order_release);
+                }
+                if (shard != nullptr) {
+                    const uint64_t t1 = TelemetryNowNs();
+                    shard->OnChunkDecode(t1 - t0);
                     if (ring != nullptr) {
-                        ring->SetChunk(static_cast<uint64_t>(c));
-                    }
-                    const uint64_t t0 =
-                        shard != nullptr ? TelemetryNowNs() : 0;
-                    ByteSpan payload =
-                        view.payload.subspan(view.chunk_offsets[c],
-                                             view.chunk_sizes[c]);
-                    DecodeChunk(ChunkSpec(view, spec, c), payload,
-                                view.chunk_raw[c],
-                                ChunkSlotAt(dest, transformed_size, c),
-                                scratch);
-                    if (shard != nullptr) {
-                        const uint64_t t1 = TelemetryNowNs();
-                        shard->OnChunkDecode(t1 - t0);
-                        if (ring != nullptr) {
-                            ring->Record(TraceSpanKind::kChunk,
-                                         kTraceDecode, 0,
-                                         static_cast<uint64_t>(c), t0, t1);
-                        }
-                    }
-                } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-                    {
-                        if (!failed.exchange(true)) {
-                            first_error = std::current_exception();
-                        }
+                        ring->Record(TraceSpanKind::kChunk, kTraceDecode, 0,
+                                     c, t0, t1);
                     }
                 }
-            }
+            };
+            const std::exception_ptr error =
+                ClaimChunks(threads, n_chunks, decode, fold_ready);
             scope.Finish(arenas);
-            if (failed.load()) {
+            if (error) {
                 // Rethrow the first failure so stage/offset context in a
                 // CorruptStreamError survives the parallel region.
                 try {
-                    std::rethrow_exception(first_error);
+                    std::rethrow_exception(error);
                 } catch (const CorruptStreamError&) {
                     throw;
                 } catch (const std::exception& e) {

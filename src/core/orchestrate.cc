@@ -3,20 +3,21 @@
 #include <cstdint>
 
 #include "core/telemetry.h"
+#include "core/trace.h"
 #include "util/hash.h"
 #include "util/scan.h"
 
 namespace fpc {
 
 ContainerHeader
-MakeContainerHeader(Algorithm algorithm, ByteSpan input,
-                    size_t transformed_size)
+MakeContainerHeader(Algorithm algorithm, size_t original_size,
+                    size_t transformed_size, uint64_t checksum)
 {
     ContainerHeader header;
     header.algorithm = static_cast<uint8_t>(algorithm);
-    header.original_size = input.size();
+    header.original_size = original_size;
     header.transformed_size = transformed_size;
-    header.checksum = Checksum64(input);
+    header.checksum = checksum;
     header.chunk_count = static_cast<uint32_t>(ChunkCountOf(transformed_size));
     return header;
 }
@@ -29,10 +30,12 @@ AdaptiveRepresentative(Algorithm algorithm)
 }
 
 ContainerHeader
-MakeAdaptiveContainerHeader(Algorithm algorithm, ByteSpan input)
+MakeAdaptiveContainerHeader(Algorithm algorithm, size_t original_size,
+                            uint64_t checksum)
 {
-    ContainerHeader header = MakeContainerHeader(
-        AdaptiveRepresentative(algorithm), input, input.size());
+    ContainerHeader header =
+        MakeContainerHeader(AdaptiveRepresentative(algorithm),
+                            original_size, original_size, checksum);
     header.version = ContainerHeader::kVersionAdaptive;
     return header;
 }
@@ -83,36 +86,43 @@ AssembleContainer(const ContainerHeader& header, const EncodePlan& plan,
 
 namespace {
 
+/**
+ * The one content check: fold the part of @p out that @p sum has not
+ * seen — all of it, unless an executor's checksum lane already folded a
+ * prefix — then compare size and checksum with @p header. With @p trace
+ * set, the fold is recorded as a worker-0 kChecksum span (it runs on the
+ * orchestrating thread, after the chunk join).
+ */
 void
-CheckContent(const ContainerHeader& header, ByteSpan out)
+VerifyContent(const ContainerHeader& header, ByteSpan out,
+              Checksum64Stream& sum, TraceSink* trace)
 {
     FPC_PARSE_CHECK(out.size() == header.original_size,
                     "decompressed size mismatch");
-    FPC_PARSE_CHECK(Checksum64(out) == header.checksum,
+    const size_t folded = sum.Folded();
+    const uint64_t t0 = trace != nullptr ? TelemetryNowNs() : 0;
+    sum.Update(out.subspan(folded));
+    if (trace != nullptr) {
+        TraceSpan span;
+        span.start_ns = t0;
+        span.dur_ns = TelemetryNowNs() - t0;
+        span.id = folded / kChunkSize;
+        span.worker = 0;
+        span.kind = TraceSpanKind::kChecksum;
+        span.dir = kTraceDecode;
+        trace->Record(span);
+    }
+    FPC_PARSE_CHECK(sum.Finish() == header.checksum,
                     "content checksum mismatch");
 }
 
-}  // namespace
-
-Bytes
-RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
-              const PreDecodeFn& pre_decode)
+/** Stage the transformed stream of a pre-stage container, decode its
+ *  chunks into it, and run @p pre_decode into @p out. */
+void
+DecodeThroughPreStage(const ContainerView& view, const PipelineSpec& spec,
+                      const DecodeChunksFn& decode_chunks,
+                      const PreDecodeFn& pre_decode, Bytes& out)
 {
-    ContainerView view = ParseContainer(compressed);
-    const auto algorithm = static_cast<Algorithm>(view.header.algorithm);
-    const PipelineSpec& spec = GetPipeline(algorithm);
-
-    if (spec.pre.decode == nullptr) {
-        // No whole-input stage: chunks decode straight into the result.
-        FPC_PARSE_CHECK(
-            view.header.transformed_size == view.header.original_size,
-            "transformed size mismatch for pre-stage-free algorithm");
-        Bytes out(view.header.original_size);
-        decode_chunks(view, spec, out.data());
-        CheckContent(view.header, ByteSpan(out));
-        return out;
-    }
-
     // FCM (the only pre-stage) always expands, so a valid container's
     // declared original size never exceeds its transformed size. Check
     // before reserving `out` so a forged original_size cannot drive an
@@ -121,18 +131,46 @@ RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
         view.header.original_size <= view.header.transformed_size,
         "original size exceeds transformed size", "container", 8);
     Bytes work(view.header.transformed_size);
-    decode_chunks(view, spec, work.data());
-    Bytes out;
+    decode_chunks(view, spec, work.data(), nullptr);
     out.reserve(view.header.original_size);
     pre_decode(spec, ByteSpan(work), out);
-    CheckContent(view.header, ByteSpan(out));
+}
+
+void
+CheckPreStageFree(const ContainerHeader& header)
+{
+    FPC_PARSE_CHECK(header.transformed_size == header.original_size,
+                    "transformed size mismatch for pre-stage-free algorithm");
+}
+
+}  // namespace
+
+Bytes
+RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
+              const PreDecodeFn& pre_decode, TraceSink* trace)
+{
+    ContainerView view = ParseContainer(compressed);
+    const auto algorithm = static_cast<Algorithm>(view.header.algorithm);
+    const PipelineSpec& spec = GetPipeline(algorithm);
+    Checksum64Stream sum(view.header.original_size);
+    Bytes out;
+    if (spec.pre.decode == nullptr) {
+        // No whole-input stage: chunks decode straight into the result,
+        // which the executor may checksum as chunks land.
+        CheckPreStageFree(view.header);
+        out.resize(view.header.original_size);
+        decode_chunks(view, spec, out.data(), &sum);
+    } else {
+        DecodeThroughPreStage(view, spec, decode_chunks, pre_decode, out);
+    }
+    VerifyContent(view.header, ByteSpan(out), sum, trace);
     return out;
 }
 
 void
 RunDecompressInto(ByteSpan compressed, std::span<std::byte> out,
                   const DecodeChunksFn& decode_chunks,
-                  const PreDecodeFn& pre_decode)
+                  const PreDecodeFn& pre_decode, TraceSink* trace)
 {
     ContainerView view = ParseContainer(compressed);
     const auto algorithm = static_cast<Algorithm>(view.header.algorithm);
@@ -143,28 +181,21 @@ RunDecompressInto(ByteSpan compressed, std::span<std::byte> out,
                          " bytes");
     }
 
+    Checksum64Stream sum(view.header.original_size);
     if (spec.pre.decode == nullptr) {
-        FPC_PARSE_CHECK(
-            view.header.transformed_size == view.header.original_size,
-            "transformed size mismatch for pre-stage-free algorithm");
-        decode_chunks(view, spec, out.data());
+        CheckPreStageFree(view.header);
+        decode_chunks(view, spec, out.data(), &sum);
     } else {
-        FPC_PARSE_CHECK_AT(
-            view.header.original_size <= view.header.transformed_size,
-            "original size exceeds transformed size", "container", 8);
         // The whole-input pre-stage needs the full transformed stream.
-        Bytes work(view.header.transformed_size);
-        decode_chunks(view, spec, work.data());
         Bytes restored;
-        restored.reserve(out.size());
-        pre_decode(spec, ByteSpan(work), restored);
+        DecodeThroughPreStage(view, spec, decode_chunks, pre_decode,
+                              restored);
         FPC_PARSE_CHECK(restored.size() == out.size(),
                         "decompressed size mismatch");
-        std::memcpy(out.data(), restored.data(), out.size());
+        std::copy(restored.begin(), restored.end(), out.begin());
     }
-    FPC_PARSE_CHECK(Checksum64(ByteSpan(out.data(), out.size())) ==
-                        view.header.checksum,
-                    "content checksum mismatch");
+    VerifyContent(view.header, ByteSpan(out.data(), out.size()), sum,
+                  trace);
 }
 
 size_t
@@ -223,12 +254,12 @@ MakeChunkRangeView(const ContainerPrefix& prefix, size_t first_chunk,
 Bytes
 RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
 {
-    ContainerView view = ParseContainer(compressed);
-    const auto algorithm = static_cast<Algorithm>(view.header.algorithm);
-    const PipelineSpec& spec = GetPipeline(algorithm);
-    const size_t transformed_size = view.header.transformed_size;
-
-    const auto decode_all = [&](std::byte* dest) {
+    // Both hooks run on the calling thread against the one arena; the
+    // content checksum is folded whole by RunDecompress after the decode.
+    const DecodeChunksFn decode_all = [&scratch](const ContainerView& view,
+                                                 const PipelineSpec& spec,
+                                                 std::byte* dest,
+                                                 Checksum64Stream*) {
         TelemetryShard* shard = scratch.Telemetry();
         TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
         for (uint32_t c = 0; c < view.header.chunk_count; ++c) {
@@ -237,7 +268,8 @@ RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
             ByteSpan payload = view.payload.subspan(view.chunk_offsets[c],
                                                     view.chunk_sizes[c]);
             DecodeChunk(ChunkSpec(view, spec, c), payload, view.chunk_raw[c],
-                        ChunkSlotAt(dest, transformed_size, c), scratch);
+                        ChunkSlotAt(dest, view.header.transformed_size, c),
+                        scratch);
             if (shard != nullptr) {
                 const uint64_t t1 = TelemetryNowNs();
                 shard->OnChunkDecode(t1 - t0);
@@ -248,31 +280,15 @@ RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
             }
         }
     };
-
-    if (spec.pre.decode == nullptr) {
-        FPC_PARSE_CHECK(
-            view.header.transformed_size == view.header.original_size,
-            "transformed size mismatch for pre-stage-free algorithm");
-        Bytes out(view.header.original_size);
-        decode_all(out.data());
-        CheckContent(view.header, ByteSpan(out));
-        return out;
-    }
-
-    FPC_PARSE_CHECK_AT(
-        view.header.original_size <= view.header.transformed_size,
-        "original size exceeds transformed size", "container", 8);
-    Bytes work(view.header.transformed_size);
-    decode_all(work.data());
-    Bytes out;
-    out.reserve(view.header.original_size);
-    {
+    const PreDecodeFn pre_decode = [&scratch](const PipelineSpec& spec,
+                                              ByteSpan transformed,
+                                              Bytes& out) {
         TelemetryShard* shard = scratch.Telemetry();
         const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-        spec.pre.decode(ByteSpan(work), out, scratch);
+        spec.pre.decode(transformed, out, scratch);
         if (shard != nullptr) {
             const uint64_t t1 = TelemetryNowNs();
-            shard->OnStageDecode(spec.pre.id, work.size(), out.size(),
+            shard->OnStageDecode(spec.pre.id, transformed.size(), out.size(),
                                  t1 - t0);
             if (shard->trace != nullptr) {
                 shard->trace->Record(TraceSpanKind::kPre, kTraceDecode,
@@ -280,9 +296,8 @@ RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
                                      t0, t1);
             }
         }
-    }
-    CheckContent(view.header, ByteSpan(out));
-    return out;
+    };
+    return RunDecompress(compressed, decode_all, pre_decode, nullptr);
 }
 
 }  // namespace fpc

@@ -6,10 +6,15 @@
  * encode each chunk independently (raw fallback when a chunk expands),
  * prefix-sum the compressed sizes into write positions, and place every
  * payload behind one container prefix — and only the *scheduling* of the
- * chunk work differs (OpenMP parallel-for vs simulated grid launch with
- * decoupled look-back). This file owns everything except the scheduling,
+ * chunk work differs (shared-cursor OpenMP loop vs simulated grid launch
+ * with decoupled look-back). This file owns everything except the scheduling,
  * so the executors cannot drift apart: identical partition math, identical
- * chunk tables, identical prefix bytes, identical checksum policy.
+ * chunk tables, identical prefix bytes, and one content-checksum check.
+ * The checksum value is the same Checksum64 on every path; only *when* it
+ * is folded is scheduling. An executor may hash the input alongside its
+ * chunk encode and may fold decoded chunks in order while others still
+ * decode (the CPU executor's checksum lane, DESIGN.md §3a); the decode
+ * driver folds whatever the executor did not, then verifies.
  */
 #ifndef FPC_CORE_ORCHESTRATE_H
 #define FPC_CORE_ORCHESTRATE_H
@@ -21,8 +26,11 @@
 #include "core/pipeline.h"
 #include "core/types.h"
 #include "util/common.h"
+#include "util/hash.h"
 
 namespace fpc {
+
+class TraceSink;
 
 /** Number of 16 KiB chunks covering a transformed stream. */
 inline size_t
@@ -91,10 +99,13 @@ struct EncodePlan {
     void EnableAdaptive() { algorithm_ids.assign(sizes.size(), 0); }
 };
 
-/** Container header for @p input compressed with @p algorithm (computes
- *  the content checksum). */
-ContainerHeader MakeContainerHeader(Algorithm algorithm, ByteSpan input,
-                                    size_t transformed_size);
+/** Container header for an input of @p original_size bytes compressed
+ *  with @p algorithm; @p checksum is the caller's Checksum64 of the
+ *  input, so the scheduler decides when the hash runs. */
+ContainerHeader MakeContainerHeader(Algorithm algorithm,
+                                    size_t original_size,
+                                    size_t transformed_size,
+                                    uint64_t checksum);
 
 /** The pre-stage-free algorithm of @p algorithm's element width —
  *  kSPspeed for 4-byte, kDPspeed for 8-byte — recorded as the
@@ -102,11 +113,13 @@ ContainerHeader MakeContainerHeader(Algorithm algorithm, ByteSpan input,
  *  decisions). */
 Algorithm AdaptiveRepresentative(Algorithm algorithm);
 
-/** Version-3 header for an adaptive encode of @p input: the width
- *  representative of @p algorithm, transformed == original (adaptive
- *  containers never run a whole-input pre-stage). */
+/** Version-3 header for an adaptive encode of an @p original_size-byte
+ *  input whose Checksum64 is @p checksum: the width representative of
+ *  @p algorithm, transformed == original (adaptive containers never run
+ *  a whole-input pre-stage). */
 ContainerHeader MakeAdaptiveContainerHeader(Algorithm algorithm,
-                                            ByteSpan input);
+                                            size_t original_size,
+                                            uint64_t checksum);
 
 /** The pipeline that decodes chunk @p c of @p view: the recorded
  *  per-chunk pipeline for a v3 view, @p frame_spec otherwise. */
@@ -143,9 +156,13 @@ Bytes AssembleContainer(const ContainerHeader& header,
                         std::span<ScratchArena> arenas, int threads);
 
 /** Executor hook: decode every chunk of @p view into @p dest, which is
- *  sized view.header.transformed_size. */
-using DecodeChunksFn = std::function<void(
-    const ContainerView& view, const PipelineSpec& spec, std::byte* dest)>;
+ *  sized view.header.transformed_size. @p checksum is non-null when the
+ *  decoded chunks are the output (no whole-input pre-stage); it arrives
+ *  empty, and the hook may fold any in-order prefix of the decoded
+ *  chunks into it. The driver folds the rest after the hook returns. */
+using DecodeChunksFn =
+    std::function<void(const ContainerView& view, const PipelineSpec& spec,
+                       std::byte* dest, Checksum64Stream* checksum)>;
 
 /** Executor hook: the whole-input pre-stage decode (FCM for DPratio).
  *  Only invoked when spec.pre.decode is set. */
@@ -154,19 +171,21 @@ using PreDecodeFn = std::function<void(
 
 /**
  * Shared decompression driver: parse + validate the container, decode the
- * chunks through @p decode_chunks (directly into the result when the
- * algorithm has no whole-input stage), run @p pre_decode otherwise, and
- * verify the size and content checksum. Throws CorruptStreamError on any
- * mismatch.
+ * chunks through @p decode_chunks (directly into the result, with the
+ * checksum cursor, when the algorithm has no whole-input stage), run
+ * @p pre_decode otherwise, fold what the hook left unfolded, and verify
+ * the size and content checksum. Throws CorruptStreamError on any
+ * mismatch. With @p trace set, that final fold is recorded as a
+ * kChecksum span.
  */
 Bytes RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
-                    const PreDecodeFn& pre_decode);
+                    const PreDecodeFn& pre_decode, TraceSink* trace);
 
 /** RunDecompress into caller-owned memory of exactly original_size bytes
  *  (throws UsageError otherwise). */
 void RunDecompressInto(ByteSpan compressed, std::span<std::byte> out,
                        const DecodeChunksFn& decode_chunks,
-                       const PreDecodeFn& pre_decode);
+                       const PreDecodeFn& pre_decode, TraceSink* trace);
 
 /**
  * Synthetic sub-container over chunks [@p first_chunk, @p chunk_end) of a
@@ -187,10 +206,10 @@ size_t ChunkRangeBytes(size_t transformed_size, size_t first_chunk,
                        size_t chunk_end);
 
 /**
- * Fully serial RunDecompress twin for streaming-pool workers: every chunk
- * (and the pre-stage, when the algorithm has one) decodes on the calling
- * thread against one persistent @p scratch arena, so a worker's buffers
- * stay warm across frames. Telemetry flows through the shard attached to
+ * RunDecompress with fully serial hooks, for streaming-pool workers: every
+ * chunk (and the pre-stage, when the algorithm has one) decodes on the
+ * calling thread against one persistent @p scratch arena, so a worker's
+ * buffers stay warm across frames. Telemetry flows through the shard attached to
  * @p scratch, if any — the pool merges shards once, at join.
  */
 Bytes RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch);

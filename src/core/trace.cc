@@ -113,6 +113,7 @@ KindCategory(TraceSpanKind kind)
       case TraceSpanKind::kStage: return "stage";
       case TraceSpanKind::kBlock: return "block";
       case TraceSpanKind::kPre: return "pre";
+      case TraceSpanKind::kChecksum: return "checksum";
     }
     return "unknown";
 }
@@ -136,6 +137,8 @@ EventName(const TraceSpan& span,
       case TraceSpanKind::kPre:
           return std::string(StageName(static_cast<StageId>(span.stage))) +
                  " pre-stage " + DirName(span.dir);
+      case TraceSpanKind::kChecksum:
+          return std::string("checksum ") + DirName(span.dir);
     }
     return "span";
 }

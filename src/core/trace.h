@@ -10,6 +10,7 @@
  *
  *   run  >  worker  >  chunk  >  stage          (both executors)
  *   run  >  worker  >  block  >  chunk > stage  (gpusim block launches)
+ *   run  >  worker  >  checksum                 (content checksum folds)
  *
  * and exports it as Chrome trace-event JSON ("fpc.trace.v1"), loadable
  * in Perfetto or chrome://tracing.
@@ -50,6 +51,7 @@ enum class TraceSpanKind : uint8_t {
     kStage = 3,   ///< one transform-stage call within a chunk
     kBlock = 4,   ///< one gpusim thread-block launch (chunk + look-back)
     kPre = 5,     ///< whole-input pre-stage (FCM of DPratio)
+    kChecksum = 6,  ///< content-checksum fold (input hash or decode fold)
 };
 
 /** Encode/decode direction of a span (matches StageMetrics naming). */
@@ -63,7 +65,8 @@ inline constexpr uint32_t kTraceRunWorker = UINT32_MAX;
  * One closed span. Plain value; 32 bytes, so rings stay cache-friendly.
  * `stage` holds the StageId value for kStage/kPre spans (0 otherwise);
  * `id` holds the chunk/block index for kChunk/kStage/kBlock spans, the
- * worker index for kWorker, and a run-label index for kRun.
+ * first folded chunk for kChecksum, the worker index for kWorker, and a
+ * run-label index for kRun.
  */
 struct TraceSpan {
     uint64_t start_ns = 0;  ///< TelemetryNowNs() at span entry

@@ -13,6 +13,7 @@
 #include "core/telemetry.h"
 #include "gpusim/kernels.h"
 #include "gpusim/primitives.h"
+#include "util/hash.h"
 
 namespace fpc::gpusim {
 
@@ -40,13 +41,14 @@ LaunchWorkerId()
 }
 
 /** Chunk decode hook for the orchestration driver: one thread block per
- *  chunk, scheduled by the device. */
+ *  chunk, scheduled by the device. It folds no checksum; the driver
+ *  checksums the whole output after the launch. */
 DecodeChunksFn
 DecodeChunksOn(const Device& device, Telemetry* sink, TraceSink* trace)
 {
     return [&device, sink, trace](const ContainerView& view,
                                   const PipelineSpec& spec,
-                                  std::byte* dest) {
+                                  std::byte* dest, Checksum64Stream*) {
         const size_t transformed_size = view.header.transformed_size;
         std::vector<ScratchArena> arenas(MaxLaunchWorkers());
         TelemetryRunScope scope(sink, trace, MaxLaunchWorkers());
@@ -224,9 +226,20 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
         }
     });
 
+    // The device path keeps the content hash serial, after the launch.
+    const uint64_t t0 = scope.Enabled() ? TelemetryNowNs() : 0;
+    const uint64_t checksum = Checksum64(input);
+    if (TelemetryShard* shard = scope.MainShard()) {
+        if (shard->trace != nullptr) {
+            shard->trace->Record(TraceSpanKind::kChecksum, kTraceEncode, 0,
+                                 0, t0, TelemetryNowNs());
+        }
+    }
     const ContainerHeader header =
-        adaptive ? MakeAdaptiveContainerHeader(algorithm, input)
-                 : MakeContainerHeader(algorithm, input, chunk_src.size());
+        adaptive ? MakeAdaptiveContainerHeader(algorithm, input.size(),
+                                               checksum)
+                 : MakeContainerHeader(algorithm, input.size(),
+                                       chunk_src.size(), checksum);
     uint64_t total = 0;
     for (uint32_t size : plan.sizes) total += size;
     // Placement at the look-back-resolved positions; bytes are identical
@@ -242,7 +255,7 @@ DecompressOnDevice(const Device& device, ByteSpan compressed,
                    Telemetry* sink, TraceSink* trace)
 {
     return RunDecompress(compressed, DecodeChunksOn(device, sink, trace),
-                         DevicePreDecode(sink, trace));
+                         DevicePreDecode(sink, trace), trace);
 }
 
 void
@@ -251,7 +264,7 @@ DecompressIntoOnDevice(const Device& device, ByteSpan compressed,
                        TraceSink* trace)
 {
     RunDecompressInto(compressed, out, DecodeChunksOn(device, sink, trace),
-                      DevicePreDecode(sink, trace));
+                      DevicePreDecode(sink, trace), trace);
 }
 
 void
@@ -259,7 +272,7 @@ DecodeChunksOnDevice(const Device& device, const ContainerView& view,
                      const PipelineSpec& spec, std::byte* dest,
                      Telemetry* sink, TraceSink* trace)
 {
-    DecodeChunksOn(device, sink, trace)(view, spec, dest);
+    DecodeChunksOn(device, sink, trace)(view, spec, dest, nullptr);
 }
 
 }  // namespace fpc::gpusim

@@ -57,26 +57,66 @@ LzHash64(uint64_t word, unsigned bits)
 }
 
 /**
- * Fast 64-bit content checksum over a byte span (FNV-1a over 8-byte words
- * with a splitmix64 finalizer). Stored in the container header and
- * verified on decompression.
+ * Streaming form of Checksum64, the fast 64-bit content checksum (FNV-1a
+ * over 8-byte words with a splitmix64 finalizer) stored in the container
+ * header and verified on decompression. The total length is mixed in
+ * first, so it is declared up front. Every Update span but the last must
+ * be a multiple of 8 bytes long, so no word straddles two calls; folding
+ * 16 KiB chunks in order therefore yields exactly the one-shot value,
+ * which lets an executor fold decoded chunks while others still decode.
  */
+class Checksum64Stream {
+ public:
+    explicit Checksum64Stream(size_t total_size)
+        : h_(0xcbf29ce484222325ull ^ (total_size * 0x9e3779b97f4a7c15ull)),
+          total_(total_size) {}
+
+    /** Fold the next @p data bytes of the input. */
+    void
+    Update(ByteSpan data)
+    {
+        FPC_CHECK(folded_ % 8 == 0 || data.empty(),
+                  "Checksum64Stream: update after a partial word");
+        uint64_t h = h_;
+        size_t i = 0;
+        for (; i + 8 <= data.size(); i += 8) {
+            uint64_t w;
+            std::memcpy(&w, data.data() + i, 8);
+            h = (h ^ w) * 0x100000001b3ull;
+        }
+        for (unsigned shift = 0; i < data.size(); ++i, shift += 8) {
+            tail_ |= static_cast<uint64_t>(data[i]) << shift;
+        }
+        h_ = h;
+        folded_ += data.size();
+    }
+
+    /** Bytes folded so far. */
+    size_t Folded() const { return folded_; }
+
+    /** The checksum; every declared byte must have been folded. */
+    uint64_t
+    Finish() const
+    {
+        FPC_CHECK(folded_ == total_,
+                  "Checksum64Stream: folded size differs from declared size");
+        return Mix64((h_ ^ tail_) * 0x100000001b3ull);
+    }
+
+ private:
+    uint64_t h_;
+    uint64_t tail_ = 0;  ///< the final 1-7 bytes, little-endian
+    size_t total_;
+    size_t folded_ = 0;
+};
+
+/** One-shot Checksum64Stream over @p data. */
 inline uint64_t
 Checksum64(ByteSpan data)
 {
-    uint64_t h = 0xcbf29ce484222325ull ^ (data.size() * 0x9e3779b97f4a7c15ull);
-    size_t i = 0;
-    for (; i + 8 <= data.size(); i += 8) {
-        uint64_t w;
-        std::memcpy(&w, data.data() + i, 8);
-        h = (h ^ w) * 0x100000001b3ull;
-    }
-    uint64_t tail = 0;
-    for (unsigned shift = 0; i < data.size(); ++i, shift += 8) {
-        tail |= static_cast<uint64_t>(data[i]) << shift;
-    }
-    h = (h ^ tail) * 0x100000001b3ull;
-    return Mix64(h);
+    Checksum64Stream sum(data.size());
+    sum.Update(data);
+    return sum.Finish();
 }
 
 /** Deterministic xorshift128+ generator for synthetic data and tests. */

@@ -8,12 +8,16 @@
  * checksums pin the wire format per backend: any change here is a
  * breaking format change and must be deliberate (bump the container
  * version), not a side effect of a performance or scheduling change.
+ * The checksum-lane tests drive the CPU executor's shared-cursor chunk
+ * loop (worker 0 folds the content checksum between claims) through
+ * failures, edge sizes and repetition at several thread counts.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "core/codec.h"
+#include "core/container.h"
 #include "core/executor.h"
 #include "core/stream.h"
 #include "util/hash.h"
@@ -263,6 +267,169 @@ TEST(ExecutorTyped, TypedDecodeRejectsWrongWidthContainers)
     Bytes fc = sp.compress(std::span<const float>(fvalues));
     EXPECT_THROW(sp.decompress_as<double>(ByteSpan(fc)), UsageError);
     EXPECT_EQ(sp.decompress_as<float>(ByteSpan(fc)), fvalues);
+}
+
+/** Thread counts of the checksum-lane tests: serial, the lane plus one,
+ *  the benchmark's three, and more workers than this host has cores. */
+constexpr int kLaneThreads[] = {1, 2, 3, 8};
+
+Options
+CpuThreads(int threads)
+{
+    return Options{}.with_executor("cpu").with_threads(threads);
+}
+
+/** What one decode of @p container does: "" when it returns @p expected,
+ *  the CorruptStreamError message when it throws one, and a failure
+ *  marker otherwise. Both entry points must agree; the caller compares. */
+std::string
+DecodeOutcome(ByteSpan container, const Bytes& expected, int threads,
+              bool into)
+{
+    const Options options = CpuThreads(threads);
+    try {
+        Bytes out;
+        if (into) {
+            out.resize(expected.size());
+            DecompressInto(container, std::span<std::byte>(out), options);
+        } else {
+            out = Decompress(container, options);
+        }
+        return out == expected ? "" : "decoded to wrong bytes";
+    } catch (const CorruptStreamError& e) {
+        return e.what();
+    }
+}
+
+/** Absolute offset of chunk @p c's payload within @p container. */
+size_t
+ChunkPayloadOffset(const Bytes& container, size_t c)
+{
+    const ContainerView view = ParseContainer(ByteSpan(container));
+    return static_cast<size_t>(view.payload.data() - container.data()) +
+           view.chunk_offsets[c];
+}
+
+TEST(ExecutorChecksumLane, StructuralCorruptionInAMiddleChunkThrows)
+{
+    const size_t n_chunks = 24;
+    const Bytes input = MakeInput(kChunkSize * n_chunks, 0x51de);
+    const Bytes container =
+        Compress(Algorithm::kSPratio, ByteSpan(input), CpuThreads(1));
+    const ContainerView view = ParseContainer(ByteSpan(container));
+    const size_t mid = n_chunks / 2;
+    ASSERT_EQ(view.chunk_raw[mid], 0) << "middle chunk must be encoded";
+
+    // Find a byte of the middle chunk whose inversion the chunk decoder
+    // itself rejects (not the final checksum), then require every thread
+    // count and both entry points to surface that same error.
+    const size_t begin = ChunkPayloadOffset(container, mid);
+    std::string expected;
+    Bytes damaged;
+    for (size_t i = 0; i < view.chunk_sizes[mid] && expected.empty(); ++i) {
+        damaged = container;
+        damaged[begin + i] = ~damaged[begin + i];
+        const std::string outcome =
+            DecodeOutcome(ByteSpan(damaged), input, 1, false);
+        if (!outcome.empty() &&
+            outcome.find("content checksum mismatch") == std::string::npos) {
+            expected = outcome;
+        }
+    }
+    ASSERT_FALSE(expected.empty()) << "no structural mutation found";
+    ASSERT_NE(expected, "decoded to wrong bytes");
+    for (int threads : kLaneThreads) {
+        for (bool into : {false, true}) {
+            EXPECT_EQ(DecodeOutcome(ByteSpan(damaged), input, threads, into),
+                      expected)
+                << threads << " threads, into=" << into;
+        }
+    }
+}
+
+TEST(ExecutorChecksumLane, PayloadFlipThatDecodesWrongFailsTheChecksum)
+{
+    // Incompressible input stores every chunk verbatim, so a flipped
+    // payload bit decodes without complaint to wrong bytes — only the
+    // content checksum can catch it. SPspeed has no pre-stage, so the
+    // lane folds the damaged chunk on most runs.
+    const size_t n_chunks = 16;
+    Bytes input(kChunkSize * n_chunks + 5);
+    Rng rng(0xf11e);
+    for (std::byte& b : input) b = static_cast<std::byte>(rng.Next());
+    const Bytes container =
+        Compress(Algorithm::kSPspeed, ByteSpan(input), CpuThreads(1));
+    const ContainerView view = ParseContainer(ByteSpan(container));
+    for (size_t mid : {size_t{0}, n_chunks / 2, n_chunks}) {
+        ASSERT_EQ(view.chunk_raw[mid], 1);
+        Bytes damaged = container;
+        damaged[ChunkPayloadOffset(container, mid) + 3] ^= std::byte{0x10};
+        for (int threads : kLaneThreads) {
+            for (bool into : {false, true}) {
+                const std::string outcome =
+                    DecodeOutcome(ByteSpan(damaged), input, threads, into);
+                EXPECT_NE(outcome.find("content checksum mismatch"),
+                          std::string::npos)
+                    << "chunk " << mid << ", " << threads
+                    << " threads, into=" << into << ": " << outcome;
+            }
+        }
+    }
+}
+
+TEST(ExecutorChecksumLane, EdgeSizesRoundTripAtEveryThreadCount)
+{
+    // Empty, one short chunk, fewer chunks than threads, and sizes whose
+    // final chunk ends in a 1-7 byte partial word.
+    const size_t kSizes[] = {0,
+                             1,
+                             7,
+                             100,
+                             kChunkSize - 4,
+                             kChunkSize,
+                             kChunkSize + 3,
+                             kChunkSize * 3 + 12,
+                             kChunkSize * 5 + 4};
+    for (size_t size : kSizes) {
+        const Bytes input = MakeInput(size, 0xed9e + size);
+        for (Algorithm algorithm : kAlgorithms) {
+            for (int threads : kLaneThreads) {
+                SCOPED_TRACE(std::string(AlgorithmName(algorithm)) + ", " +
+                             std::to_string(size) + " bytes, " +
+                             std::to_string(threads) + " threads");
+                const Options options = CpuThreads(threads);
+                const Bytes container =
+                    Compress(algorithm, ByteSpan(input), options);
+                EXPECT_EQ(container, Compress(algorithm, ByteSpan(input),
+                                              CpuThreads(1)));
+                for (bool into : {false, true}) {
+                    EXPECT_EQ(DecodeOutcome(ByteSpan(container), input,
+                                            threads, into),
+                              "")
+                        << "into=" << into;
+                }
+            }
+        }
+    }
+}
+
+TEST(ExecutorChecksumLane, RepeatedThreeThreadRoundTripsAreIdentical)
+{
+    const Bytes input = MakeInput(kChunkSize * 64, 0x4e9e);
+    const Options options = CpuThreads(3);
+    const Bytes first =
+        Compress(Algorithm::kSPspeed, ByteSpan(input), options);
+    Bytes into(input.size());
+    for (int round = 0; round < 200; ++round) {
+        const Bytes container =
+            Compress(Algorithm::kSPspeed, ByteSpan(input), options);
+        ASSERT_EQ(container, first) << "round " << round;
+        ASSERT_EQ(Decompress(ByteSpan(container), options), input)
+            << "round " << round;
+        DecompressInto(ByteSpan(container), std::span<std::byte>(into),
+                       options);
+        ASSERT_EQ(into, input) << "round " << round;
+    }
 }
 
 }  // namespace

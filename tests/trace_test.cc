@@ -7,6 +7,9 @@
  *    counts equal the telemetry call counters collected by the same run;
  *  - histogram totals: the chunk latency digests of fpc.telemetry.v3
  *    count exactly one sample per chunk;
+ *  - the content checksum lane: checksum spans exist in both directions,
+ *    lie inside their run span, and never overlap a chunk span of the
+ *    worker that recorded them;
  *  - neutrality: attaching a tracer must not change one compressed byte
  *    (asserted against the executor_test golden checksums);
  *  - the Chrome trace-event export shape ("fpc.trace.v1") and the
@@ -116,6 +119,7 @@ TEST(TraceReconciliation, StageSpansNestInChunkSpansOnBothBackends)
                       break;
                   case TraceSpanKind::kWorker:
                   case TraceSpanKind::kBlock:
+                  case TraceSpanKind::kChecksum:
                       break;
                 }
             }
@@ -179,6 +183,59 @@ TEST(TraceReconciliation, BlockSpansCoverChunkSpansOnDevicePath)
         // The block span includes the chunk encode plus the look-back
         // hand-off (encode) or is identical to it (decode).
         EXPECT_GE(dur, chunk_dur[key]);
+    }
+}
+
+TEST(TraceReconciliation, ChecksumSpansLieInRunAndBesideChunkSpans)
+{
+    if (!kTelemetryEnabled) GTEST_SKIP() << "built with FPC_TELEMETRY=0";
+    const Bytes input = MakeInput(kChunkSize * 40 + 6, 0xc5a);
+    for (const char* backend : kBackends) {
+        for (Algorithm algorithm : kAlgorithms) {
+            SCOPED_TRACE(std::string(backend) + " / " +
+                         AlgorithmName(algorithm));
+            TraceSink trace;
+            Options options = Options{}
+                                  .with_executor(backend)
+                                  .with_threads(3)
+                                  .with_trace(&trace);
+            Bytes compressed =
+                Compress(algorithm, ByteSpan(input), options);
+            EXPECT_EQ(Decompress(ByteSpan(compressed), options), input);
+            ASSERT_EQ(trace.DroppedCount(), 0u);
+
+            const std::vector<TraceSpan> spans = trace.Spans();
+            const auto end_of = [](const TraceSpan& span) {
+                return span.start_ns + span.dur_ns;
+            };
+            std::array<size_t, 2> checksum_spans{};
+            for (const TraceSpan& sum : spans) {
+                if (sum.kind != TraceSpanKind::kChecksum) continue;
+                ++checksum_spans[sum.dir];
+                bool in_run = false;
+                for (const TraceSpan& other : spans) {
+                    if (other.kind == TraceSpanKind::kRun &&
+                        other.dir == sum.dir &&
+                        other.start_ns <= sum.start_ns &&
+                        end_of(sum) <= end_of(other)) {
+                        in_run = true;
+                    }
+                    if (other.kind == TraceSpanKind::kChunk &&
+                        other.worker == sum.worker) {
+                        EXPECT_FALSE(other.start_ns < end_of(sum) &&
+                                     sum.start_ns < end_of(other))
+                            << "checksum span of chunk " << sum.id
+                            << " overlaps chunk " << other.id
+                            << " on worker " << sum.worker;
+                    }
+                }
+                EXPECT_TRUE(in_run) << "checksum span outside its run";
+            }
+            // One input hash on compress; at least the post-join fold on
+            // decompress.
+            EXPECT_EQ(checksum_spans[kTraceEncode], 1u);
+            EXPECT_GE(checksum_spans[kTraceDecode], 1u);
+        }
     }
 }
 

@@ -201,6 +201,66 @@ TEST(Hash, Deterministic)
     for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
 }
 
+/** Fold @p data into a Checksum64Stream in pieces ending at @p cuts. */
+uint64_t
+FoldAt(ByteSpan data, const std::vector<size_t>& cuts)
+{
+    Checksum64Stream sum(data.size());
+    size_t begin = 0;
+    for (size_t cut : cuts) {
+        sum.Update(data.subspan(begin, cut - begin));
+        begin = cut;
+    }
+    sum.Update(data.subspan(begin));
+    return sum.Finish();
+}
+
+TEST(Hash, StreamingChecksumIsSplitInvariant)
+{
+    Rng rng(0xc5c5);
+    Bytes data(kChunkSize * 5 + 8 * 3 + 7);
+    for (std::byte& b : data) b = static_cast<std::byte>(rng.Next());
+
+    // Every length with a 0-7 byte tail, including empty input.
+    for (size_t size : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
+                        size_t{13}, kChunkSize, kChunkSize + 5,
+                        data.size()}) {
+        const ByteSpan span = ByteSpan(data).first(size);
+        const uint64_t one_shot = Checksum64(span);
+        EXPECT_EQ(FoldAt(span, {}), one_shot) << size;
+
+        // At 16 KiB chunk boundaries, in order, as the decode lane folds.
+        std::vector<size_t> chunk_cuts;
+        for (size_t cut = kChunkSize; cut < size; cut += kChunkSize) {
+            chunk_cuts.push_back(cut);
+        }
+        EXPECT_EQ(FoldAt(span, chunk_cuts), one_shot) << size;
+
+        // At random 8-byte-multiple cuts, including empty pieces.
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<size_t> cuts;
+            size_t at = 0;
+            while (true) {
+                at += 8 * rng.NextBelow(600);
+                if (at > size) break;
+                cuts.push_back(at);
+            }
+            EXPECT_EQ(FoldAt(span, cuts), one_shot)
+                << size << ", trial " << trial;
+        }
+    }
+
+    // A dozen bytes fold to a different value than their 8-byte prefix:
+    // the tail counts, and so does the declared length.
+    EXPECT_NE(Checksum64(ByteSpan(data).first(12)),
+              Checksum64(ByteSpan(data).first(8)));
+    Checksum64Stream folded(8);
+    EXPECT_EQ(folded.Folded(), 0u);
+    folded.Update(ByteSpan(data).first(8));
+    EXPECT_EQ(folded.Folded(), 8u);
+    EXPECT_EQ(folded.Finish(), Checksum64(ByteSpan(data).first(8)));
+}
+
 TEST(Scan, ExclusiveAndInclusive)
 {
     std::vector<uint32_t> v{3, 1, 4, 1, 5};
