@@ -11,7 +11,8 @@
  *    EncodeChunk/DecodeChunk directly, for every algorithm id;
  *  - probe/selection determinism, Options::with_mode and Mode::kAuto
  *    plumbing, Inspect's adaptive fields, ranged reads on adaptive
- *    streams, and the telemetry v7 adaptive counters.
+ *    streams, and the telemetry v7 adaptive counters, including the
+ *    inputs of bench_regress's probe gate.
  */
 #include <gtest/gtest.h>
 
@@ -361,6 +362,46 @@ TEST(AdaptiveSelect, TelemetryCountsProbesAndSelections)
     const TelemetrySnapshot fixed = fixed_sink.Snapshot();
     EXPECT_EQ(fixed.counters.adaptive_probe_calls, 0u);
     EXPECT_EQ(fixed.counters.adaptive_trials, 0u);
+}
+
+// bench_regress budgets the probe at 5% of the encode work: probe plus
+// stage encode time, summed over the same per-worker shards. Pin what
+// that ratio relies on, with no timing bound: at one worker the probe
+// and stage intervals are disjoint and lie inside the compress wall
+// interval (so the share is never below probe / compress wall), and
+// both sides count the same work at every thread count.
+TEST(AdaptiveSelect, ProbeShareInputsCountTheSameWorkAtEveryThreadCount)
+{
+    if (!kTelemetryEnabled) GTEST_SKIP() << "FPC_TELEMETRY=0";
+    const Bytes input = ToBytes(MixedValues<float>(16 * kChunkSize / 4, 29));
+    auto run = [&](int threads) {
+        Telemetry sink;
+        (void)Compress(Algorithm::kSPspeed, ByteSpan(input),
+                       Options{}
+                           .with_executor("cpu")
+                           .with_mode("auto")
+                           .with_threads(threads)
+                           .with_telemetry(&sink));
+        return sink.Snapshot();
+    };
+
+    const TelemetrySnapshot one = run(1);
+    ASSERT_GT(one.counters.adaptive_probe_calls, 0u);
+    EXPECT_GT(one.counters.adaptive_trials, 0u);  // trials are in the sum
+    uint64_t encode_work_ns = one.counters.adaptive_probe_ns;
+    for (const StageMetrics& stage : one.counters.stages)
+        encode_work_ns += stage.encode.wall_ns;
+    EXPECT_GE(one.compress.wall_ns, encode_work_ns);
+
+    const TelemetrySnapshot four = run(4);
+    EXPECT_EQ(four.counters.adaptive_probe_calls,
+              one.counters.adaptive_probe_calls);
+    EXPECT_EQ(four.counters.adaptive_trials, one.counters.adaptive_trials);
+    for (size_t s = 0; s < kStageCount; ++s) {
+        EXPECT_EQ(four.counters.stages[s].encode.calls,
+                  one.counters.stages[s].encode.calls)
+            << StageName(static_cast<StageId>(s));
+    }
 }
 
 }  // namespace

@@ -45,7 +45,11 @@ bench/bench_service.cc):
   - results entries with algorithm, backend, positive ratio and
     throughputs, and valid latency digests (chunk_encode/chunk_decode
     required for corpus-shaped reports, range_read for ranged ones,
-    request for service-shaped ones).
+    request for service-shaped ones);
+  - mode=auto entries (those carrying probe_ns): probe_ns,
+    encode_work_ns (probe plus stage encode time, summed over the same
+    workers — the probe gate's denominator) and compress_wall_ns, all
+    non-negative integers with probe_ns <= encode_work_ns.
 
 ``fpc.metrics.v1`` (``MetricsRegistry::Exposition``, src/core/metrics.cc;
 the daemon's /metrics and ``fpcc metrics`` output):
@@ -375,6 +379,20 @@ def check_trace_content(line_no, doc):
     return True
 
 
+def check_probe_fields(line_no, where, entry):
+    """The mode=auto probe gate's inputs (bench/bench_regress.cc)."""
+    ok = True
+    for field in ("probe_ns", "encode_work_ns", "compress_wall_ns"):
+        value = entry.get(field)
+        if not isinstance(value, int) or value < 0:
+            ok = fail(line_no, f"{where}.{field} missing or not a"
+                               f" non-negative integer: {value!r}")
+    if ok and entry["probe_ns"] > entry["encode_work_ns"]:
+        ok = fail(line_no, f"{where}.probe_ns {entry['probe_ns']} exceeds"
+                           f" encode_work_ns {entry['encode_work_ns']}")
+    return ok
+
+
 def check_bench(line_no, doc):
     ok = True
     config = doc.get("config")
@@ -428,6 +446,8 @@ def check_bench(line_no, doc):
             if not isinstance(value, (int, float)) or value <= 0:
                 ok = fail(line_no, f"{where}.{field} missing or not"
                                    f" positive: {value!r}")
+        if "probe_ns" in entry:
+            ok = check_probe_fields(line_no, where, entry) and ok
         hists = entry.get("histograms")
         if not isinstance(hists, dict):
             ok = fail(line_no, f"{where}.histograms missing")
