@@ -16,7 +16,8 @@
  * bytes, and the stage encoders are bit-identical across backends, so
  * the cpu and gpusim executors make the same per-chunk decisions and
  * produce the same v3 container — the executor passes its own chunk
- * encoder in as a function pointer.
+ * encoder in as a ChunkEncodeFn (core/pipeline.h): EncodeChunk, or
+ * gpusim::EncodeChunkDevice, the same driver over the device kernels.
  */
 #ifndef FPC_CORE_ADAPTIVE_H
 #define FPC_CORE_ADAPTIVE_H
@@ -47,10 +48,6 @@ ChunkFeatures ProbeChunk(ByteSpan chunk);
  *  sample window) every prediction equals @p chunk_bytes. */
 std::array<double, 4> PredictChunkSizes(const ChunkFeatures& features,
                                         size_t chunk_bytes);
-
-/** A backend's chunk encoder (EncodeChunk / gpusim::EncodeChunkDevice). */
-using ChunkEncodeFn = ByteSpan (*)(const PipelineSpec&, ByteSpan, bool&,
-                                   ScratchArena&);
 
 /**
  * Probe @p chunk, pick a pipeline (or raw), and encode it with

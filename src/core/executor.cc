@@ -9,7 +9,6 @@
 #include <omp.h>
 #endif
 
-#include "core/adaptive.h"
 #include "core/orchestrate.h"
 #include "core/telemetry.h"
 #include "gpusim/launch.h"
@@ -159,29 +158,12 @@ class CpuExecutor final : public Executor {
                                 static_cast<size_t>(threads));
 
         // Whole-input pre-stage (FCM); algorithms without one chunk the
-        // input in place — no staging copy. Adaptive encodes never run a
-        // pre-stage: each chunk picks its own (possibly FCM-chunked)
-        // pipeline in the loop below.
+        // input in place — no staging copy.
         const bool adaptive = options.adaptive;
+        const simd::Isa isa = ResolveIsa(options);
         Bytes work;
-        ByteSpan chunk_src = input;
-        if (!adaptive && spec.pre.encode != nullptr) {
-            ScratchArena pre_scratch;
-            pre_scratch.SetKernelIsa(ResolveIsa(options));
-            const uint64_t t0 = scope.Enabled() ? TelemetryNowNs() : 0;
-            spec.pre.encode(input, work, pre_scratch);
-            if (TelemetryShard* shard = scope.MainShard()) {
-                const uint64_t t1 = TelemetryNowNs();
-                shard->OnStageEncode(spec.pre.id, input.size(),
-                                     work.size(), t1 - t0);
-                if (shard->trace != nullptr) {
-                    shard->trace->Record(TraceSpanKind::kPre, kTraceEncode,
-                                         static_cast<uint8_t>(spec.pre.id),
-                                         0, t0, t1);
-                }
-            }
-            chunk_src = ByteSpan(work);
-        }
+        const ByteSpan chunk_src = PreEncode(spec, input, adaptive, isa,
+                                             scope.MainShard(), work);
 
         // Pass 1 (paper Section 3): chunks are dynamically claimed by
         // threads; each encodes into its worker's arena-retained buffer —
@@ -193,7 +175,6 @@ class CpuExecutor final : public Executor {
         ArenaLease lease =
             AcquireScratch(options.arenas, static_cast<size_t>(threads));
         std::span<ScratchArena> arenas = lease.Span();
-        const simd::Isa isa = ResolveIsa(options);
         for (ScratchArena& arena : arenas) arena.SetKernelIsa(isa);
         scope.HintChunks(n_chunks);
         scope.Attach(arenas);
@@ -211,31 +192,8 @@ class CpuExecutor final : public Executor {
             }
         };
         const auto encode = [&](uint32_t worker, size_t c) {
-            ScratchArena& scratch = arenas[worker];
-            TelemetryShard* shard = scratch.Telemetry();
-            TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-            if (ring != nullptr) ring->SetChunk(c);
-            const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-            bool raw = false;
-            ByteSpan payload;
-            if (adaptive) {
-                uint8_t id = 0;
-                payload = EncodeChunkAuto(ChunkAt(chunk_src, c), raw, id,
-                                          scratch, &EncodeChunk);
-                plan.algorithm_ids[c] = id;
-            } else {
-                payload =
-                    EncodeChunk(spec, ChunkAt(chunk_src, c), raw, scratch);
-            }
-            plan.Record(c, worker, payload, raw, scratch);
-            if (shard != nullptr) {
-                const uint64_t t1 = TelemetryNowNs();
-                shard->OnChunkEncode(t1 - t0);
-                if (ring != nullptr) {
-                    ring->Record(TraceSpanKind::kChunk, kTraceEncode, 0, c,
-                                 t0, t1);
-                }
-            }
+            EncodeChunkAt(spec, chunk_src, c, worker, arenas[worker],
+                          &EncodeChunk, plan);
         };
         if (std::exception_ptr error =
                 ClaimChunks(threads, n_chunks, encode, hash_input)) {
@@ -326,78 +284,24 @@ class CpuExecutor final : public Executor {
                 folded = end;
             };
             const auto decode = [&](uint32_t worker, size_t c) {
-                ScratchArena& scratch = arenas[worker];
-                TelemetryShard* shard = scratch.Telemetry();
-                TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-                if (ring != nullptr) ring->SetChunk(c);
-                const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-                ByteSpan payload = view.payload.subspan(view.chunk_offsets[c],
-                                                        view.chunk_sizes[c]);
-                DecodeChunk(ChunkSpec(view, spec, c), payload,
-                            view.chunk_raw[c],
-                            ChunkSlotAt(dest, transformed_size, c), scratch);
+                DecodeChunkAt(view, spec, c, dest, arenas[worker],
+                              &DecodeChunk);
                 if (checksum != nullptr) {
                     ready[c].store(1, std::memory_order_release);
-                }
-                if (shard != nullptr) {
-                    const uint64_t t1 = TelemetryNowNs();
-                    shard->OnChunkDecode(t1 - t0);
-                    if (ring != nullptr) {
-                        ring->Record(TraceSpanKind::kChunk, kTraceDecode, 0,
-                                     c, t0, t1);
-                    }
                 }
             };
             const std::exception_ptr error =
                 ClaimChunks(threads, n_chunks, decode, fold_ready);
             scope.Finish(arenas);
-            if (error) {
-                // Rethrow the first failure so stage/offset context in a
-                // CorruptStreamError survives the parallel region.
-                try {
-                    std::rethrow_exception(error);
-                } catch (const CorruptStreamError&) {
-                    throw;
-                } catch (const std::exception& e) {
-                    throw CorruptStreamError(e.what());
-                }
-            }
+            if (error) RethrowAsCorrupt(error);
         };
     }
 
     static PreDecodeFn
     PreDecode(const Options& options)
     {
-        return [options](const PipelineSpec& spec, ByteSpan transformed,
-                         Bytes& out) {
-            ScratchArena pre_scratch;
-            pre_scratch.SetKernelIsa(ResolveIsa(options));
-            Telemetry* sink = SinkOf(options);
-            TraceSink* trace = TraceOf(options);
-            if (sink == nullptr && trace == nullptr) {
-                spec.pre.decode(transformed, out, pre_scratch);
-                return;
-            }
-            const uint64_t t0 = TelemetryNowNs();
-            spec.pre.decode(transformed, out, pre_scratch);
-            const uint64_t t1 = TelemetryNowNs();
-            if (sink != nullptr) {
-                TelemetryShard shard;
-                shard.OnStageDecode(spec.pre.id, transformed.size(),
-                                    out.size(), t1 - t0);
-                sink->Merge(shard);
-            }
-            if (trace != nullptr) {
-                TraceSpan span;
-                span.start_ns = t0;
-                span.dur_ns = t1 - t0;
-                span.worker = 0;  // runs on the orchestrating thread
-                span.kind = TraceSpanKind::kPre;
-                span.dir = kTraceDecode;
-                span.stage = static_cast<uint8_t>(spec.pre.id);
-                trace->Record(span);
-            }
-        };
+        return PreDecodeHook(SinkOf(options), TraceOf(options),
+                             ResolveIsa(options));
     }
 };
 

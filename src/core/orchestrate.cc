@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "core/adaptive.h"
 #include "core/telemetry.h"
 #include "core/trace.h"
 #include "util/hash.h"
@@ -82,6 +83,149 @@ AssembleContainer(const ContainerHeader& header, const EncodePlan& plan,
     }
     (void)threads;
     return out;
+}
+
+namespace {
+
+/** Run @p body as chunk @p c's work on @p scratch, recording the chunk's
+ *  latency and kChunk span (direction @p dir) in the arena's shard. */
+template <typename Body>
+ChunkTimes
+TimeChunk(ScratchArena& scratch, size_t c, uint8_t dir, const Body& body)
+{
+    TelemetryShard* shard = scratch.Telemetry();
+    if (shard == nullptr) {
+        body();
+        return {};
+    }
+    if (shard->trace != nullptr) shard->trace->SetChunk(c);
+    ChunkTimes times;
+    times.t0 = TelemetryNowNs();
+    body();
+    times.t1 = TelemetryNowNs();
+    if (dir == kTraceEncode) {
+        shard->OnChunkEncode(times.t1 - times.t0);
+    } else {
+        shard->OnChunkDecode(times.t1 - times.t0);
+    }
+    if (shard->trace != nullptr) {
+        shard->trace->Record(TraceSpanKind::kChunk, dir, 0, c, times.t0,
+                             times.t1);
+    }
+    return times;
+}
+
+/** Account one whole-input pre-stage call to @p shard: its stage
+ *  counters, and a kPre span when the shard has a trace ring. */
+void
+RecordPreStage(TelemetryShard& shard, uint8_t dir, StageId id,
+               size_t in_bytes, size_t out_bytes, uint64_t t0, uint64_t t1)
+{
+    if (dir == kTraceEncode) {
+        shard.OnStageEncode(id, in_bytes, out_bytes, t1 - t0);
+    } else {
+        shard.OnStageDecode(id, in_bytes, out_bytes, t1 - t0);
+    }
+    if (shard.trace != nullptr) {
+        shard.trace->Record(TraceSpanKind::kPre, dir,
+                            static_cast<uint8_t>(id), 0, t0, t1);
+    }
+}
+
+}  // namespace
+
+ChunkTimes
+EncodeChunkAt(const PipelineSpec& spec, ByteSpan chunk_src, size_t c,
+              uint32_t worker, ScratchArena& scratch, ChunkEncodeFn encode,
+              EncodePlan& plan)
+{
+    return TimeChunk(scratch, c, kTraceEncode, [&] {
+        bool raw = false;
+        ByteSpan payload;
+        if (plan.Adaptive()) {
+            uint8_t id = 0;
+            payload = EncodeChunkAuto(ChunkAt(chunk_src, c), raw, id,
+                                      scratch, encode);
+            plan.algorithm_ids[c] = id;
+        } else {
+            payload = encode(spec, ChunkAt(chunk_src, c), raw, scratch);
+        }
+        plan.Record(c, worker, payload, raw, scratch);
+    });
+}
+
+ChunkTimes
+DecodeChunkAt(const ContainerView& view, const PipelineSpec& spec, size_t c,
+              std::byte* dest, ScratchArena& scratch, ChunkDecodeFn decode)
+{
+    return TimeChunk(scratch, c, kTraceDecode, [&] {
+        decode(ChunkSpec(view, spec, c),
+               view.payload.subspan(view.chunk_offsets[c],
+                                    view.chunk_sizes[c]),
+               view.chunk_raw[c],
+               ChunkSlotAt(dest, view.header.transformed_size, c), scratch);
+    });
+}
+
+void
+RethrowAsCorrupt(std::exception_ptr error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const CorruptStreamError&) {
+        throw;
+    } catch (const std::exception& e) {
+        throw CorruptStreamError(e.what());
+    }
+}
+
+ByteSpan
+PreEncode(const PipelineSpec& spec, ByteSpan input, bool adaptive,
+          simd::Isa isa, TelemetryShard* shard, Bytes& work)
+{
+    if (adaptive || spec.pre.encode == nullptr) return input;
+    ScratchArena scratch;
+    scratch.SetKernelIsa(isa);
+    const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
+    spec.pre.encode(input, work, scratch);
+    if (shard != nullptr) {
+        RecordPreStage(*shard, kTraceEncode, spec.pre.id, input.size(),
+                       work.size(), t0, TelemetryNowNs());
+    }
+    return ByteSpan(work);
+}
+
+PreDecodeFn
+PreDecodeHook(Telemetry* sink, TraceSink* trace, simd::Isa isa)
+{
+    return [sink, trace, isa](const PipelineSpec& spec, ByteSpan transformed,
+                              Bytes& out) {
+        ScratchArena scratch;
+        scratch.SetKernelIsa(isa);
+        if (sink == nullptr && trace == nullptr) {
+            spec.pre.decode(transformed, out, scratch);
+            return;
+        }
+        const uint64_t t0 = TelemetryNowNs();
+        spec.pre.decode(transformed, out, scratch);
+        const uint64_t t1 = TelemetryNowNs();
+        if (sink != nullptr) {
+            TelemetryShard shard;
+            RecordPreStage(shard, kTraceDecode, spec.pre.id,
+                           transformed.size(), out.size(), t0, t1);
+            sink->Merge(shard);
+        }
+        if (trace != nullptr) {
+            TraceSpan span;
+            span.start_ns = t0;
+            span.dur_ns = t1 - t0;
+            span.worker = 0;  // runs on the orchestrating thread
+            span.kind = TraceSpanKind::kPre;
+            span.dir = kTraceDecode;
+            span.stage = static_cast<uint8_t>(spec.pre.id);
+            trace->Record(span);
+        }
+    };
 }
 
 namespace {
@@ -260,24 +404,8 @@ RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
                                                  const PipelineSpec& spec,
                                                  std::byte* dest,
                                                  Checksum64Stream*) {
-        TelemetryShard* shard = scratch.Telemetry();
-        TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-        for (uint32_t c = 0; c < view.header.chunk_count; ++c) {
-            if (ring != nullptr) ring->SetChunk(c);
-            const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-            ByteSpan payload = view.payload.subspan(view.chunk_offsets[c],
-                                                    view.chunk_sizes[c]);
-            DecodeChunk(ChunkSpec(view, spec, c), payload, view.chunk_raw[c],
-                        ChunkSlotAt(dest, view.header.transformed_size, c),
-                        scratch);
-            if (shard != nullptr) {
-                const uint64_t t1 = TelemetryNowNs();
-                shard->OnChunkDecode(t1 - t0);
-                if (ring != nullptr) {
-                    ring->Record(TraceSpanKind::kChunk, kTraceDecode, 0, c,
-                                 t0, t1);
-                }
-            }
+        for (size_t c = 0; c < view.header.chunk_count; ++c) {
+            DecodeChunkAt(view, spec, c, dest, scratch, &DecodeChunk);
         }
     };
     const PreDecodeFn pre_decode = [&scratch](const PipelineSpec& spec,
@@ -287,14 +415,9 @@ RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
         const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
         spec.pre.decode(transformed, out, scratch);
         if (shard != nullptr) {
-            const uint64_t t1 = TelemetryNowNs();
-            shard->OnStageDecode(spec.pre.id, transformed.size(), out.size(),
-                                 t1 - t0);
-            if (shard->trace != nullptr) {
-                shard->trace->Record(TraceSpanKind::kPre, kTraceDecode,
-                                     static_cast<uint8_t>(spec.pre.id), 0,
-                                     t0, t1);
-            }
+            RecordPreStage(*shard, kTraceDecode, spec.pre.id,
+                           transformed.size(), out.size(), t0,
+                           TelemetryNowNs());
         }
     };
     return RunDecompress(compressed, decode_all, pre_decode, nullptr);

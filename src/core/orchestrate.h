@@ -19,6 +19,7 @@
 #ifndef FPC_CORE_ORCHESTRATE_H
 #define FPC_CORE_ORCHESTRATE_H
 
+#include <exception>
 #include <functional>
 
 #include "core/arena.h"
@@ -97,6 +98,7 @@ struct EncodePlan {
     std::vector<uint8_t> algorithm_ids;
 
     void EnableAdaptive() { algorithm_ids.assign(sizes.size(), 0); }
+    bool Adaptive() const { return !algorithm_ids.empty(); }
 };
 
 /** Container header for an input of @p original_size bytes compressed
@@ -133,6 +135,53 @@ ChunkSpec(const ContainerView& view, const PipelineSpec& frame_spec,
                      static_cast<Algorithm>(view.chunk_algorithms[c]));
 }
 
+/** [t0, t1] (TelemetryNowNs) of one chunk's kChunk span; both zero when
+ *  the arena has no telemetry shard. */
+struct ChunkTimes {
+    uint64_t t0 = 0;
+    uint64_t t1 = 0;
+};
+
+/**
+ * The per-chunk encode body both compress loops run: encode chunk @p c
+ * of @p chunk_src through @p encode — with @p spec, or by
+ * EncodeChunkAuto's per-chunk selection when @p plan is adaptive —
+ * record the payload in @p plan as @p worker's (@p scratch is that
+ * worker's arena), and record the chunk's latency and kChunk span in the
+ * arena's telemetry shard.
+ */
+ChunkTimes EncodeChunkAt(const PipelineSpec& spec, ByteSpan chunk_src,
+                         size_t c, uint32_t worker, ScratchArena& scratch,
+                         ChunkEncodeFn encode, EncodePlan& plan);
+
+/**
+ * The per-chunk decode body of every decode loop (both executors and
+ * RunDecompressSerial): decode chunk @p c of @p view through @p decode
+ * into its slot of @p dest (sized view.header.transformed_size) on
+ * @p scratch, and record the chunk's latency and kChunk span in the
+ * arena's telemetry shard.
+ */
+ChunkTimes DecodeChunkAt(const ContainerView& view, const PipelineSpec& spec,
+                         size_t c, std::byte* dest, ScratchArena& scratch,
+                         ChunkDecodeFn decode);
+
+/** Rethrow a chunk loop's first failure with its stage/offset context
+ *  intact: a CorruptStreamError as itself, any other std::exception as
+ *  a CorruptStreamError carrying its message. */
+[[noreturn]] void RethrowAsCorrupt(std::exception_ptr error);
+
+/**
+ * The stream a compress loop chunks: @p input itself, or — for a
+ * fixed-mode encode of a pipeline with a whole-input pre-stage
+ * (DPratio's FCM) — that stage's output, written to @p work on the
+ * calling thread with kernels dispatching on @p isa. The stage counters
+ * and kPre span go to @p shard (the run scope's MainShard) when it is
+ * non-null. Adaptive encodes never run a pre-stage: each chunk picks its
+ * own (possibly FCM-chunked) pipeline.
+ */
+ByteSpan PreEncode(const PipelineSpec& spec, ByteSpan input, bool adaptive,
+                   simd::Isa isa, TelemetryShard* shard, Bytes& work);
+
 /** Final payload write positions: exclusive prefix sum over the stored
  *  chunk sizes. The device path computes the same offsets with the
  *  decoupled look-back instead and passes them to AssembleContainer. */
@@ -168,6 +217,12 @@ using DecodeChunksFn =
  *  Only invoked when spec.pre.decode is set. */
 using PreDecodeFn = std::function<void(
     const PipelineSpec& spec, ByteSpan transformed, Bytes& out)>;
+
+/** The pre-decode hook both executors pass the decompression driver:
+ *  spec.pre.decode on the orchestrating thread, kernels dispatching on
+ *  @p isa. Its stage counters merge into @p sink and its kPre span
+ *  (worker 0) goes to @p trace, each when non-null. */
+PreDecodeFn PreDecodeHook(Telemetry* sink, TraceSink* trace, simd::Isa isa);
 
 /**
  * Shared decompression driver: parse + validate the container, decode the

@@ -85,6 +85,15 @@ ByteSpan EncodeChunk(const PipelineSpec& spec, ByteSpan chunk, bool& raw,
 void DecodeChunk(const PipelineSpec& spec, ByteSpan payload, bool raw,
                  std::span<std::byte> dest, ScratchArena& scratch);
 
+/** A backend's chunk encoder and decoder: EncodeChunk/DecodeChunk, or
+ *  gpusim::EncodeChunkDevice/DecodeChunkDevice, which run the same
+ *  driver over the device kernels. Plain function pointers, so the chunk
+ *  loops pay no std::function or virtual call per chunk. */
+using ChunkEncodeFn = ByteSpan (*)(const PipelineSpec&, ByteSpan, bool&,
+                                   ScratchArena&);
+using ChunkDecodeFn = void (*)(const PipelineSpec&, ByteSpan, bool,
+                               std::span<std::byte>, ScratchArena&);
+
 }  // namespace fpc
 
 #endif  // FPC_CORE_PIPELINE_H

@@ -7,7 +7,6 @@
  *  - a grid of thread blocks dynamically scheduled onto SMs,
  *  - 32-lane warps executing in lockstep (register state modelled as
  *    32-wide arrays, exchanged with shuffle operations),
- *  - per-block shared memory holding chunk data between transformations,
  *  - bulk-synchronous phases (the code between two __syncthreads()).
  *
  * Kernels written against this model (gpusim/kernels.cc) follow the
@@ -30,40 +29,6 @@ inline constexpr unsigned kWarpSize = 32;
 template <typename T>
 using WarpReg = std::array<T, kWarpSize>;
 
-/** Per-block software-managed memory (the GPU's shared memory). */
-class SharedMemory {
- public:
-    /** Shared-memory capacity per block; sized, as in the paper, to hold
-     *  two 16 KiB chunk buffers plus scan scratch. */
-    static constexpr size_t kCapacity = 48 * 1024;
-
-    /** Allocate @p count elements of T; throws when over capacity. */
-    template <typename T>
-    std::span<T>
-    Alloc(size_t count)
-    {
-        static_assert(std::is_trivial_v<T>,
-                      "shared memory holds trivial types only");
-        size_t bytes = count * sizeof(T);
-        size_t aligned = (used_ + alignof(T) - 1) & ~(alignof(T) - 1);
-        FPC_CHECK(aligned + bytes <= kCapacity,
-                  "shared memory capacity exceeded");
-        T* p = reinterpret_cast<T*>(arena_.data() + aligned);
-        used_ = aligned + bytes;
-        std::memset(p, 0, bytes);
-        return std::span<T>(p, count);
-    }
-
-    /** Release everything (end of kernel). */
-    void Reset() { used_ = 0; }
-
-    size_t Used() const { return used_; }
-
- private:
-    alignas(16) std::array<unsigned char, kCapacity> arena_{};
-    size_t used_ = 0;
-};
-
 /** One thread block: phase-structured bulk-synchronous execution. */
 class ThreadBlock {
  public:
@@ -77,7 +42,6 @@ class ThreadBlock {
     unsigned BlockId() const { return block_id_; }
     unsigned NumThreads() const { return num_threads_; }
     unsigned NumWarps() const { return num_threads_ / kWarpSize; }
-    SharedMemory& Shared() { return shared_; }
 
     /**
      * Execute one bulk-synchronous phase: @p body runs once per thread id.
@@ -103,7 +67,6 @@ class ThreadBlock {
  private:
     unsigned block_id_;
     unsigned num_threads_;
-    SharedMemory shared_;
 };
 
 /** Static description of a simulated GPU (used by the two GPU figures). */

@@ -14,8 +14,15 @@
  *    whole, and compacts survivors at offsets from a block-wide scan.
  *  - RAZE/RARE build the leading-bit histogram with (modelled) atomic
  *    increments and compact kept pieces via scans.
- *  - FCM encodes with a device sort (CUB stand-in) and decodes with the
- *    parallel union-find "find".
+ *
+ * FCM has no kernel here: both backends run the one tf::FcmEncode /
+ * tf::FcmDecode (an in-order decode pass; the paper's parallel
+ * union-find is open ROADMAP work).
+ *
+ * The kernels enter the pipeline through a stage table keyed by StageId
+ * and word size, each entry a kernel wrapped in the uniform Stage
+ * signature. EncodeChunkDevice/DecodeChunkDevice run the device twin of
+ * a pipeline through the one chunk driver, EncodeChunk/DecodeChunk.
  *
  * Every kernel emits the exact byte stream of its CPU counterpart in
  * src/transforms; tests/gpusim_test.cc asserts the equality.
@@ -23,6 +30,7 @@
 #include "gpusim/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 
 #include "core/telemetry.h"
@@ -545,10 +553,9 @@ RzeDecodeDevice(ThreadBlock& block, ByteSpan in, Bytes& out, size_t budget)
 
 enum class AdaptiveKind { kZero, kRepeat };
 
-template <typename T>
+template <typename T, AdaptiveKind kind>
 void
-AdaptiveEncodeDevice(ThreadBlock& block, AdaptiveKind kind, ByteSpan in,
-                     Bytes& out)
+AdaptiveEncodeDevice(ThreadBlock& block, ByteSpan in, Bytes& out)
 {
     constexpr unsigned kWordBits = sizeof(T) * 8;
     ByteWriter wr(out);
@@ -621,10 +628,10 @@ AdaptiveEncodeDevice(ThreadBlock& block, AdaptiveKind kind, ByteSpan in,
     wr.PutBytes(in.subspan(nw * sizeof(T)));
 }
 
-template <typename T>
+template <typename T, AdaptiveKind kind>
 void
-AdaptiveDecodeDevice(ThreadBlock& block, AdaptiveKind kind, ByteSpan in,
-                     Bytes& out, size_t budget)
+AdaptiveDecodeDevice(ThreadBlock& block, ByteSpan in, Bytes& out,
+                     size_t budget)
 {
     constexpr unsigned kWordBits = sizeof(T) * 8;
     const char* kStage = kind == AdaptiveKind::kZero ? "RAZE" : "RARE";
@@ -706,77 +713,39 @@ AdaptiveDecodeDevice(ThreadBlock& block, AdaptiveKind kind, ByteSpan in,
 }
 
 // ---------------------------------------------------------------------
-// Stage dispatch
+// Device stage table
 // ---------------------------------------------------------------------
 
-using DeviceEncodeFn = void (*)(ThreadBlock&, ByteSpan, Bytes&);
-// Decoders additionally receive the chunk decode budget (the cap on any
-// wire-declared output size; see ScratchArena::DecodeBudget).
-using DeviceDecodeFn = void (*)(ThreadBlock&, ByteSpan, Bytes&, size_t);
+/** Threads per block of the chunk kernels (the launch profiles' block
+ *  size too); no kernel's output depends on it. */
+constexpr unsigned kBlockThreads = 256;
 
-struct DeviceStage {
-    DeviceEncodeFn encode;
-    DeviceDecodeFn decode;
-};
+using DeviceEncodeKernel = void (*)(ThreadBlock&, ByteSpan, Bytes&);
+using DeviceDecodeKernel = void (*)(ThreadBlock&, ByteSpan, Bytes&, size_t);
 
-DeviceStage
-LookupDeviceStage(const std::string& name, unsigned word_size)
+/** A device encode kernel in the uniform Stage signature: one thread
+ *  block runs it over the stage input. */
+template <DeviceEncodeKernel kKernel>
+void
+EncodeOnBlock(ByteSpan in, Bytes& out, ScratchArena&)
 {
-    if (name == "DIFFMS" && word_size == 4) {
-        return {DiffmsEncodeDevice<uint32_t>, DiffmsDecodeDevice<uint32_t>};
-    }
-    if (name == "DIFFMS" && word_size == 8) {
-        return {DiffmsEncodeDevice<uint64_t>, DiffmsDecodeDevice<uint64_t>};
-    }
-    if (name == "MPLG" && word_size == 4) {
-        return {MplgEncodeDevice<uint32_t>, MplgDecodeDevice<uint32_t>};
-    }
-    if (name == "MPLG" && word_size == 8) {
-        return {MplgEncodeDevice<uint64_t>, MplgDecodeDevice<uint64_t>};
-    }
-    if (name == "BIT" && word_size == 4) {
-        return {BitEncodeDevice32, BitDecodeDevice32};
-    }
-    if (name == "RZE") {
-        return {RzeEncodeDevice, RzeDecodeDevice};
-    }
-    if (name == "RAZE" && word_size == 8) {
-        return {[](ThreadBlock& b, ByteSpan in, Bytes& out) {
-                    AdaptiveEncodeDevice<uint64_t>(b, AdaptiveKind::kZero,
-                                                   in, out);
-                },
-                [](ThreadBlock& b, ByteSpan in, Bytes& out, size_t budget) {
-                    AdaptiveDecodeDevice<uint64_t>(b, AdaptiveKind::kZero,
-                                                   in, out, budget);
-                }};
-    }
-    if (name == "RARE" && word_size == 8) {
-        return {[](ThreadBlock& b, ByteSpan in, Bytes& out) {
-                    AdaptiveEncodeDevice<uint64_t>(b, AdaptiveKind::kRepeat,
-                                                   in, out);
-                },
-                [](ThreadBlock& b, ByteSpan in, Bytes& out, size_t budget) {
-                    AdaptiveDecodeDevice<uint64_t>(b, AdaptiveKind::kRepeat,
-                                                   in, out, budget);
-                }};
-    }
-    if (name == "FCM" && word_size == 8) {
-        // Per-chunk FCM of the adaptive DPratio pipeline. The device FCM
-        // transform is whole-buffer; as a chunk stage the buffer is the
-        // chunk, and its decode allocations are payload-bounded (the
-        // spec's decode_budget_factor covers its ~2x intermediate).
-        return {[](ThreadBlock&, ByteSpan in, Bytes& out) {
-                    FcmEncodeDevice(in, out);
-                },
-                [](ThreadBlock&, ByteSpan in, Bytes& out, size_t) {
-                    FcmDecodeDevice(in, out);
-                }};
-    }
-    throw UsageError("no device kernel for stage " + name);
+    ThreadBlock block(0, kBlockThreads);
+    kKernel(block, in, out);
+}
+
+/** A device decode kernel in the uniform Stage signature. Every
+ *  wire-declared size is capped by the arena's decode budget, which
+ *  DecodeChunk sets per chunk for both backends. */
+template <DeviceDecodeKernel kKernel>
+void
+DecodeOnBlock(ByteSpan in, Bytes& out, ScratchArena& scratch)
+{
+    ThreadBlock block(0, kBlockThreads);
+    kKernel(block, in, out, scratch.DecodeBudget());
 }
 
 /**
- * Subchunk counters from an MPLG stage output. The device kernels do not
+ * Subchunk counters from an MPLG stage output. The device kernel does not
  * share MplgEncodeImpl's pass-1 loop (where the CPU path counts), but the
  * wire format is self-describing: uint64 input size, then one header byte
  * per subchunk whose bit 7 is the enhancement flag.
@@ -799,151 +768,128 @@ CountMplgSubchunks(ByteSpan encoded, unsigned word_size,
     }
 }
 
+/** The MPLG entry: the kernel, then the subchunk counters the CPU stage
+ *  keeps, so both backends report the same telemetry. */
+template <typename T>
+void
+MplgEncodeStage(ByteSpan in, Bytes& out, ScratchArena& scratch)
+{
+    const size_t begin = out.size();
+    EncodeOnBlock<MplgEncodeDevice<T>>(in, out, scratch);
+    if (TelemetryShard* shard = scratch.Telemetry()) {
+        CountMplgSubchunks(ByteSpan(out).subspan(begin), sizeof(T), *shard);
+    }
+}
+
+/** Device stages keyed by StageId and word size (index 0 for 4-byte
+ *  words, 1 for 8-byte); pairs with no kernel stay null. */
+using DeviceStageTable = std::array<std::array<Stage, 2>, kStageCount>;
+
+DeviceStageTable
+BuildDeviceStages()
+{
+    DeviceStageTable table{};
+    const auto at = [&table](StageId id, unsigned word_size) -> Stage& {
+        return table[static_cast<size_t>(id)][word_size == 8 ? 1 : 0];
+    };
+    at(StageId::kDiffms, 4) = {"DIFFMS", StageId::kDiffms,
+                               EncodeOnBlock<DiffmsEncodeDevice<uint32_t>>,
+                               DecodeOnBlock<DiffmsDecodeDevice<uint32_t>>};
+    at(StageId::kDiffms, 8) = {"DIFFMS", StageId::kDiffms,
+                               EncodeOnBlock<DiffmsEncodeDevice<uint64_t>>,
+                               DecodeOnBlock<DiffmsDecodeDevice<uint64_t>>};
+    at(StageId::kMplg, 4) = {"MPLG", StageId::kMplg,
+                             MplgEncodeStage<uint32_t>,
+                             DecodeOnBlock<MplgDecodeDevice<uint32_t>>};
+    at(StageId::kMplg, 8) = {"MPLG", StageId::kMplg,
+                             MplgEncodeStage<uint64_t>,
+                             DecodeOnBlock<MplgDecodeDevice<uint64_t>>};
+    at(StageId::kBit, 4) = {"BIT", StageId::kBit,
+                            EncodeOnBlock<BitEncodeDevice32>,
+                            DecodeOnBlock<BitDecodeDevice32>};
+    // RZE works on bytes, so one kernel serves both word sizes.
+    at(StageId::kRze, 4) = at(StageId::kRze, 8) = {
+        "RZE", StageId::kRze, EncodeOnBlock<RzeEncodeDevice>,
+        DecodeOnBlock<RzeDecodeDevice>};
+    at(StageId::kRaze, 8) = {
+        "RAZE", StageId::kRaze,
+        EncodeOnBlock<AdaptiveEncodeDevice<uint64_t, AdaptiveKind::kZero>>,
+        DecodeOnBlock<AdaptiveDecodeDevice<uint64_t, AdaptiveKind::kZero>>};
+    at(StageId::kRare, 8) = {
+        "RARE", StageId::kRare,
+        EncodeOnBlock<AdaptiveEncodeDevice<uint64_t, AdaptiveKind::kRepeat>>,
+        DecodeOnBlock<
+            AdaptiveDecodeDevice<uint64_t, AdaptiveKind::kRepeat>>};
+    // FCM has no device kernel: the chunked-FCM stage of the adaptive
+    // DPratio pipeline is the CPU transform on both backends.
+    at(StageId::kFcm, 8) = {"FCM", StageId::kFcm, tf::FcmEncode,
+                            tf::FcmDecode};
+    return table;
+}
+
+/** The library's chunk pipelines — GetPipeline for each algorithm, then
+ *  the chunked DPratio of GetChunkPipeline — and their device twins. */
+struct DeviceSpecs {
+    std::array<const PipelineSpec*, 5> cpu{};
+    std::array<PipelineSpec, 5> device;
+};
+
+const DeviceSpecs&
+Specs()
+{
+    static const DeviceSpecs specs = [] {
+        const DeviceStageTable table = BuildDeviceStages();
+        DeviceSpecs s;
+        for (size_t a = 0; a < 4; ++a) {
+            s.cpu[a] = &GetPipeline(static_cast<Algorithm>(a));
+        }
+        s.cpu[4] = &GetChunkPipeline(Algorithm::kDPratio);
+        for (size_t i = 0; i < s.cpu.size(); ++i) {
+            // Same ids, order and pre-stage; each chunk stage becomes its
+            // table entry.
+            s.device[i] = *s.cpu[i];
+            for (Stage& stage : s.device[i].stages) {
+                const Stage& kernel = table[static_cast<size_t>(stage.id)]
+                                           [s.cpu[i]->word_size == 8 ? 1 : 0];
+                FPC_CHECK(kernel.encode != nullptr,
+                          "pipeline stage without a device kernel");
+                stage = kernel;
+            }
+        }
+        return s;
+    }();
+    return specs;
+}
+
+/** The device twin of @p spec, one of the library's chunk pipelines. */
+const PipelineSpec&
+DeviceSpecOf(const PipelineSpec& spec)
+{
+    const DeviceSpecs& specs = Specs();
+    for (size_t i = 0; i < specs.cpu.size(); ++i) {
+        if (specs.cpu[i] == &spec) return specs.device[i];
+    }
+    throw UsageError(std::string("no device pipeline for ") + spec.name);
+}
+
 }  // namespace
 
 ByteSpan
 EncodeChunkDevice(const PipelineSpec& spec, ByteSpan chunk, bool& raw,
                   ScratchArena& scratch)
 {
-    TelemetryShard* shard = scratch.Telemetry();
-    ThreadBlock block(0, 256);
-    Bytes* src = &scratch.PipelineA();
-    Bytes* dst = &scratch.PipelineB();
-    bool first = true;
-    for (const Stage& stage : spec.stages) {
-        DeviceStage device = LookupDeviceStage(stage.name, spec.word_size);
-        dst->clear();
-        const ByteSpan stage_in = first ? chunk : ByteSpan(*src);
-        if (shard != nullptr) {
-            const uint64_t t0 = TelemetryNowNs();
-            device.encode(block, stage_in, *dst);
-            const uint64_t t1 = TelemetryNowNs();
-            shard->OnStageEncode(stage.id, stage_in.size(), dst->size(),
-                                 t1 - t0);
-            if (shard->trace != nullptr) {
-                shard->trace->RecordStage(
-                    kTraceEncode, static_cast<uint8_t>(stage.id), t0, t1);
-            }
-            if (stage.id == StageId::kMplg) {
-                CountMplgSubchunks(ByteSpan(*dst), spec.word_size, *shard);
-            }
-        } else {
-            device.encode(block, stage_in, *dst);
-        }
-        std::swap(src, dst);
-        first = false;
-    }
-    if (first || src->size() >= chunk.size()) {
-        raw = true;
-        if (shard != nullptr) {
-            ++shard->chunks_encoded;
-            ++shard->chunks_raw;
-        }
-        return chunk;
-    }
-    raw = false;
-    if (shard != nullptr) ++shard->chunks_encoded;
-    return ByteSpan(*src);
+    return EncodeChunk(DeviceSpecOf(spec), chunk, raw, scratch);
 }
 
 void
 DecodeChunkDevice(const PipelineSpec& spec, ByteSpan payload, bool raw,
                   std::span<std::byte> dest, ScratchArena& scratch)
 {
-    TelemetryShard* shard = scratch.Telemetry();
-    if (raw) {
-        FPC_PARSE_CHECK(payload.size() == dest.size(),
-                        "raw chunk size mismatch");
-        std::memcpy(dest.data(), payload.data(), payload.size());
-        if (shard != nullptr) ++shard->chunks_decoded;
-        return;
-    }
-    FPC_PARSE_CHECK(!spec.stages.empty(),
-                    "non-raw chunk in a stage-free pipeline");
-    ThreadBlock block(0, 256);
-    // Same decode budget as the CPU pipeline driver (see DecodeChunk).
-    const size_t budget =
-        dest.size() * spec.decode_budget_factor + kChunkDecodeSlack;
-    Bytes* src = &scratch.PipelineA();
-    Bytes* dst = &scratch.PipelineB();
-    ByteSpan cur = payload;
-    for (size_t s = spec.stages.size(); s-- > 0;) {
-        DeviceStage device =
-            LookupDeviceStage(spec.stages[s].name, spec.word_size);
-        dst->clear();
-        if (shard != nullptr) {
-            const uint64_t t0 = TelemetryNowNs();
-            device.decode(block, cur, *dst, budget);
-            const uint64_t t1 = TelemetryNowNs();
-            shard->OnStageDecode(spec.stages[s].id, cur.size(), dst->size(),
-                                 t1 - t0);
-            if (shard->trace != nullptr) {
-                shard->trace->RecordStage(
-                    kTraceDecode, static_cast<uint8_t>(spec.stages[s].id),
-                    t0, t1);
-            }
-        } else {
-            device.decode(block, cur, *dst, budget);
-        }
-        std::swap(src, dst);
-        cur = ByteSpan(*src);
-    }
-    FPC_PARSE_CHECK(cur.size() == dest.size(), "chunk size mismatch");
-    std::memcpy(dest.data(), cur.data(), cur.size());
-    if (shard != nullptr) ++shard->chunks_decoded;
+    DecodeChunk(DeviceSpecOf(spec), payload, raw, dest, scratch);
 }
 
-// ---------------------------------------------------------------------
-// FCM on the device (whole-input pre-stage of DPratio)
-// ---------------------------------------------------------------------
+void FcmEncodeDevice(ByteSpan in, Bytes& out) { tf::FcmEncode(in, out); }
 
-void
-FcmEncodeDevice(ByteSpan in, Bytes& out)
-{
-    // The device encoder computes hashes and match decisions in parallel
-    // and sorts with a device radix sort (CUB in the paper; std::sort is
-    // the deterministic stand-in — both produce the unique (hash, index)
-    // total order, so the output is identical to the CPU stage).
-    tf::FcmEncode(in, out);
-}
-
-void
-FcmDecodeDevice(ByteSpan in, Bytes& out)
-{
-    constexpr const char* kStage = "FCM";
-    ByteReader br(in, kStage);
-    const size_t orig_size = br.Get<uint64_t>();
-    const size_t n = orig_size / sizeof(uint64_t);
-    // Bound n by the actual payload first so the product below cannot wrap
-    // (mirrors the CPU FcmDecode).
-    FPC_PARSE_CHECK_AT(n <= br.Remaining() / (2 * sizeof(uint64_t)),
-                       "FCM payload size mismatch", kStage, 0);
-    FPC_PARSE_CHECK_AT(br.Remaining() == 2 * n * sizeof(uint64_t) +
-                                             orig_size % sizeof(uint64_t),
-                       "FCM payload size mismatch", kStage, 0);
-
-    std::vector<uint64_t> values = LoadWords<uint64_t>(br.GetBytes(n * 8));
-    std::vector<uint64_t> dists = LoadWords<uint64_t>(br.GetBytes(n * 8));
-
-    // Parallel union-find "find" (paper Section 3.2): every element
-    // chases its distance chain; chains are shortened as elements
-    // resolve. The emulation chases without mutation, which yields the
-    // same fixed point.
-    std::vector<uint64_t> result(n);
-    for (size_t i = 0; i < n; ++i) {
-        size_t j = i;
-        while (true) {
-            FPC_PARSE_CHECK_AT(dists[j] <= j, "FCM distance out of range",
-                               kStage,
-                               sizeof(uint64_t) +
-                                   (n + j) * sizeof(uint64_t));
-            if (dists[j] == 0) break;
-            j -= dists[j];
-        }
-        result[i] = values[j];
-    }
-    AppendBytes(out, AsBytes(result));
-    AppendBytes(out, br.Rest());
-}
+void FcmDecodeDevice(ByteSpan in, Bytes& out) { tf::FcmDecode(in, out); }
 
 }  // namespace fpc::gpusim

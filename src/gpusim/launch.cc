@@ -7,7 +7,6 @@
 #include <omp.h>
 #endif
 
-#include "core/adaptive.h"
 #include "core/arena.h"
 #include "core/orchestrate.h"
 #include "core/telemetry.h"
@@ -49,7 +48,6 @@ DecodeChunksOn(const Device& device, Telemetry* sink, TraceSink* trace)
     return [&device, sink, trace](const ContainerView& view,
                                   const PipelineSpec& spec,
                                   std::byte* dest, Checksum64Stream*) {
-        const size_t transformed_size = view.header.transformed_size;
         std::vector<ScratchArena> arenas(MaxLaunchWorkers());
         TelemetryRunScope scope(sink, trace, MaxLaunchWorkers());
         scope.HintChunks(view.header.chunk_count);
@@ -65,27 +63,14 @@ DecodeChunksOn(const Device& device, Telemetry* sink, TraceSink* trace)
             const size_t c = block.BlockId();
             try {
                 ScratchArena& scratch = arenas[LaunchWorkerId()];
+                const ChunkTimes times = DecodeChunkAt(
+                    view, spec, c, dest, scratch, &DecodeChunkDevice);
                 TelemetryShard* shard = scratch.Telemetry();
-                TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-                if (ring != nullptr) ring->SetChunk(c);
-                const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-                DecodeChunkDevice(
-                    ChunkSpec(view, spec, c),
-                    view.payload.subspan(view.chunk_offsets[c],
-                                         view.chunk_sizes[c]),
-                    view.chunk_raw[c],
-                    ChunkSlotAt(dest, transformed_size, c), scratch);
-                if (shard != nullptr) {
-                    const uint64_t t1 = TelemetryNowNs();
-                    shard->OnChunkDecode(t1 - t0);
-                    if (ring != nullptr) {
-                        // The decode block body is the chunk decode, so
-                        // the block span shares the chunk span's extent.
-                        ring->Record(TraceSpanKind::kBlock, kTraceDecode,
-                                     0, c, t0, t1);
-                        ring->Record(TraceSpanKind::kChunk, kTraceDecode,
-                                     0, c, t0, t1);
-                    }
+                if (shard != nullptr && shard->trace != nullptr) {
+                    // The decode block body is the chunk decode, so the
+                    // block span shares the chunk span's extent.
+                    shard->trace->Record(TraceSpanKind::kBlock, kTraceDecode,
+                                         0, c, times.t0, times.t1);
                 }
             } catch (...) {
 #ifdef _OPENMP
@@ -103,51 +88,7 @@ DecodeChunksOn(const Device& device, Telemetry* sink, TraceSink* trace)
         omp_destroy_lock(&error_lock);
 #endif
         scope.Finish(arenas);
-        if (failed.load()) {
-            // Rethrow the first failure so stage/offset context in a
-            // CorruptStreamError survives the launch, matching the CPU
-            // executor's error reporting.
-            try {
-                std::rethrow_exception(first_error);
-            } catch (const CorruptStreamError&) {
-                throw;
-            } catch (const std::exception& e) {
-                throw CorruptStreamError(e.what());
-            }
-        }
-    };
-}
-
-/** Whole-input pre-stage hook (FCM) on the device path. */
-PreDecodeFn
-DevicePreDecode(Telemetry* sink, TraceSink* trace)
-{
-    return [sink, trace](const PipelineSpec& spec, ByteSpan transformed,
-                         Bytes& out) {
-        if (sink == nullptr && trace == nullptr) {
-            (void)spec;  // only DPratio has a pre-stage, and it is FCM
-            FcmDecodeDevice(transformed, out);
-            return;
-        }
-        const uint64_t t0 = TelemetryNowNs();
-        FcmDecodeDevice(transformed, out);
-        const uint64_t t1 = TelemetryNowNs();
-        if (sink != nullptr) {
-            TelemetryShard shard;
-            shard.OnStageDecode(spec.pre.id, transformed.size(), out.size(),
-                                t1 - t0);
-            sink->Merge(shard);
-        }
-        if (trace != nullptr) {
-            TraceSpan span;
-            span.start_ns = t0;
-            span.dur_ns = t1 - t0;
-            span.worker = 0;  // runs on the orchestrating thread
-            span.kind = TraceSpanKind::kPre;
-            span.dir = kTraceDecode;
-            span.stage = static_cast<uint8_t>(spec.pre.id);
-            trace->Record(span);
-        }
+        if (failed.load()) RethrowAsCorrupt(first_error);
     };
 }
 
@@ -160,25 +101,12 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
     const PipelineSpec& spec = GetPipeline(algorithm);
     TelemetryRunScope scope(sink, trace, MaxLaunchWorkers());
 
-    // Adaptive encodes never run a whole-input pre-stage: each block
-    // picks its chunk's (possibly FCM-chunked) pipeline below.
+    // Device kernels and the pre-stage dispatch on the process default
+    // ISA.
     Bytes work;
-    ByteSpan chunk_src = input;
-    if (!adaptive && spec.pre.encode != nullptr) {
-        const uint64_t t0 = scope.Enabled() ? TelemetryNowNs() : 0;
-        FcmEncodeDevice(input, work);
-        if (TelemetryShard* shard = scope.MainShard()) {
-            const uint64_t t1 = TelemetryNowNs();
-            shard->OnStageEncode(spec.pre.id, input.size(), work.size(),
-                                 t1 - t0);
-            if (shard->trace != nullptr) {
-                shard->trace->Record(TraceSpanKind::kPre, kTraceEncode,
-                                     static_cast<uint8_t>(spec.pre.id), 0,
-                                     t0, t1);
-            }
-        }
-        chunk_src = ByteSpan(work);
-    }
+    const ByteSpan chunk_src = PreEncode(spec, input, adaptive,
+                                         simd::DefaultIsa(),
+                                         scope.MainShard(), work);
 
     const size_t n_chunks = ChunkCountOf(chunk_src.size());
     EncodePlan plan(n_chunks);
@@ -193,36 +121,18 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
     // compressed size and resolves its write position by looking back.
     device.Launch(n_chunks, [&](ThreadBlock& block) {
         const size_t c = block.BlockId();
-        ScratchArena& scratch = arenas[LaunchWorkerId()];
-        TelemetryShard* shard = scratch.Telemetry();
-        TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
-        if (ring != nullptr) ring->SetChunk(c);
-        const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-        bool raw = false;
-        ByteSpan payload;
-        if (adaptive) {
-            uint8_t id = 0;
-            payload = EncodeChunkAuto(ChunkAt(chunk_src, c), raw, id,
-                                      scratch, &EncodeChunkDevice);
-            plan.algorithm_ids[c] = id;
-        } else {
-            payload = EncodeChunkDevice(spec, ChunkAt(chunk_src, c), raw,
-                                        scratch);
-        }
-        plan.Record(c, static_cast<uint32_t>(LaunchWorkerId()), payload,
-                    raw, scratch);
-        const uint64_t t1 = shard != nullptr ? TelemetryNowNs() : 0;
-        lookback.PublishAggregate(c, payload.size());
+        const auto worker = static_cast<uint32_t>(LaunchWorkerId());
+        ScratchArena& scratch = arenas[worker];
+        const ChunkTimes times = EncodeChunkAt(spec, chunk_src, c, worker,
+                                               scratch, &EncodeChunkDevice,
+                                               plan);
+        lookback.PublishAggregate(c, plan.sizes[c]);
         offsets[c] = lookback.ResolvePrefix(c);
-        if (shard != nullptr) {
-            shard->OnChunkEncode(t1 - t0);
-            if (ring != nullptr) {
-                ring->Record(TraceSpanKind::kChunk, kTraceEncode, 0, c, t0,
-                             t1);
-                // Block span additionally covers the look-back hand-off.
-                ring->Record(TraceSpanKind::kBlock, kTraceEncode, 0, c, t0,
-                             TelemetryNowNs());
-            }
+        TelemetryShard* shard = scratch.Telemetry();
+        if (shard != nullptr && shard->trace != nullptr) {
+            // The block span additionally covers the look-back hand-off.
+            shard->trace->Record(TraceSpanKind::kBlock, kTraceEncode, 0, c,
+                                 times.t0, TelemetryNowNs());
         }
     });
 
@@ -255,7 +165,8 @@ DecompressOnDevice(const Device& device, ByteSpan compressed,
                    Telemetry* sink, TraceSink* trace)
 {
     return RunDecompress(compressed, DecodeChunksOn(device, sink, trace),
-                         DevicePreDecode(sink, trace), trace);
+                         PreDecodeHook(sink, trace, simd::DefaultIsa()),
+                         trace);
 }
 
 void
@@ -264,7 +175,7 @@ DecompressIntoOnDevice(const Device& device, ByteSpan compressed,
                        TraceSink* trace)
 {
     RunDecompressInto(compressed, out, DecodeChunksOn(device, sink, trace),
-                      DevicePreDecode(sink, trace), trace);
+                      PreDecodeHook(sink, trace, simd::DefaultIsa()), trace);
 }
 
 void

@@ -136,13 +136,6 @@ Service::counters() const
     return counters_;
 }
 
-size_t
-Service::QueueDepth() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return total_queued_;
-}
-
 Service::TenantState&
 Service::TenantOf(const std::string& tenant)
 {

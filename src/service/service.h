@@ -216,9 +216,6 @@ class Service {
     };
     Counters counters() const;
 
-    /** Requests accepted but not yet dispatched by this service. */
-    size_t QueueDepth() const;
-
     int workers() const { return static_cast<int>(threads_.size()); }
 
  private:

@@ -118,8 +118,9 @@ FcmDecode(ByteSpan in, Bytes& out)
     std::vector<uint64_t> dists = LoadWords<uint64_t>(br.GetBytes(n * 8));
 
     // The matched index is always smaller, so a single in-order pass
-    // resolves every chain (the GPU decoder does this with the parallel
-    // union-find "find" described in the paper; results are identical).
+    // resolves every chain in O(n), whatever its depth. Both backends
+    // decode FCM here; the paper's GPU decoder uses a parallel union-find
+    // "find" instead, with identical results.
     std::vector<uint64_t> result(n);
     for (size_t i = 0; i < n; ++i) {
         if (dists[i] == 0) {

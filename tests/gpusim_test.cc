@@ -132,19 +132,6 @@ TEST(Primitives, DecoupledLookbackComputesPrefixes)
     }
 }
 
-TEST(SharedMemory, AllocatesAndEnforcesCapacity)
-{
-    SharedMemory shared;
-    auto a = shared.Alloc<uint32_t>(1024);
-    EXPECT_EQ(a.size(), 1024u);
-    a[0] = 42;
-    auto b = shared.Alloc<uint64_t>(1024);
-    b[1023] = 7;
-    EXPECT_EQ(a[0], 42u);  // no overlap
-    shared.Reset();
-    EXPECT_EQ(shared.Used(), 0u);
-}
-
 // ---- Cross-device compatibility (the paper's headline property) ----
 
 class CrossDevice : public ::testing::TestWithParam<size_t> {};
@@ -197,6 +184,57 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, CrossDevice,
                              return std::string(
                                  AlgorithmName(kAll[info.param]));
                          });
+
+// Constant doubles are FCM's worst case: each value matches its
+// predecessor, so every match distance is 1 and each element's distance
+// chain reaches back to the first value. A decoder that re-walks every
+// chain from its start is quadratic here (minutes at 4 MiB); the in-order
+// pass both backends share is linear. The ctest TIMEOUT is the bound.
+TEST(CrossDeviceFcm, ConstantDoublesRoundTripOnBothBackends)
+{
+    const Bytes input(size_t{4} << 20, std::byte{0});  // 4 MiB of 0.0
+    for (const bool adaptive : {false, true}) {
+        // Fixed mode runs the whole-input FCM pre-stage. mode=auto picks
+        // DPspeed for these chunks, so the chunked FCM is driven below.
+        SCOPED_TRACE(adaptive ? "mode=auto" : "fixed");
+        const Options cpu =
+            Options{}.with_executor("cpu").with_adaptive(adaptive);
+        const Options gpu =
+            Options{}.with_executor("gpusim:4090").with_adaptive(adaptive);
+        const Bytes from_cpu =
+            Compress(Algorithm::kDPratio, ByteSpan(input), cpu);
+        const Bytes from_gpu =
+            Compress(Algorithm::kDPratio, ByteSpan(input), gpu);
+        ASSERT_EQ(from_cpu, from_gpu);
+        EXPECT_EQ(Decompress(ByteSpan(from_cpu), gpu), input);
+        EXPECT_EQ(Decompress(ByteSpan(from_gpu), cpu), input);
+    }
+
+    // The chunked-FCM pipeline (DPratio's mode=auto pipeline) over one
+    // chunk of the input: same payload, and each backend decodes the
+    // other's.
+    const PipelineSpec& chunked = GetChunkPipeline(Algorithm::kDPratio);
+    const ByteSpan chunk = ByteSpan(input).first(kChunkSize);
+    ScratchArena arena;
+    bool cpu_raw = true;
+    bool gpu_raw = true;
+    const ByteSpan cpu_view = EncodeChunk(chunked, chunk, cpu_raw, arena);
+    const Bytes cpu_payload(cpu_view.begin(), cpu_view.end());
+    const ByteSpan gpu_view =
+        EncodeChunkDevice(chunked, chunk, gpu_raw, arena);
+    const Bytes gpu_payload(gpu_view.begin(), gpu_view.end());
+    ASSERT_FALSE(cpu_raw);
+    ASSERT_FALSE(gpu_raw);
+    ASSERT_EQ(cpu_payload, gpu_payload);
+    Bytes decoded(chunk.size());
+    DecodeChunkDevice(chunked, ByteSpan(cpu_payload), false,
+                      std::span<std::byte>(decoded), arena);
+    EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(), chunk.begin()));
+    std::fill(decoded.begin(), decoded.end(), std::byte{0xff});
+    DecodeChunk(chunked, ByteSpan(gpu_payload), false,
+                std::span<std::byte>(decoded), arena);
+    EXPECT_TRUE(std::equal(decoded.begin(), decoded.end(), chunk.begin()));
+}
 
 TEST(Device, LaunchRunsEveryBlock)
 {

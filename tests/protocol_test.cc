@@ -511,6 +511,13 @@ TEST(ProtocolTest, DrainDropsNoInFlightRequest)
     // executing) when the drain begins — the hardest case to honour.
     config.service.start_paused = true;
     SocketServer server(config);
+    // The scheduler's queue depth as the metrics registry exposes it. The
+    // gauge is process-wide, so the wait is for one request above the
+    // level before this test's request.
+    const Gauge* queue_depth = MetricsRegistry::Global().GetGauge(
+        "fpc_service_queue_depth",
+        "Requests accepted but not yet dispatched to a worker.");
+    const int64_t depth_before = queue_depth->Value();
 
     ServiceResponse response;
     std::thread caller([&] {
@@ -524,10 +531,10 @@ TEST(ProtocolTest, DrainDropsNoInFlightRequest)
     });
 
     // Wait until the scheduler holds the request.
-    for (int i = 0; i < 500 && server.service().QueueDepth() == 0; ++i) {
+    for (int i = 0; i < 500 && queue_depth->Value() == depth_before; ++i) {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    ASSERT_EQ(server.service().QueueDepth(), 1u);
+    ASSERT_EQ(queue_depth->Value(), depth_before + 1);
 
     std::thread drainer(
         [&] { server.Drain(std::chrono::milliseconds(10000)); });
