@@ -87,7 +87,8 @@ std::vector<T>
 RangeToVector(Bytes&& raw)
 {
     std::vector<T> values(raw.size() / sizeof(T));
-    std::memcpy(values.data(), raw.data(), raw.size());
+    // An empty result has no buffer: memcpy's pointers must be valid.
+    if (!raw.empty()) std::memcpy(values.data(), raw.data(), raw.size());
     return values;
 }
 }  // namespace detail

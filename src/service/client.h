@@ -2,7 +2,8 @@
  * @file
  * SocketClient — a blocking connection to a running fpcd daemon. One
  * request/response in flight per client; open several clients for
- * concurrency (the daemon handles each connection on its own thread).
+ * concurrency (the daemon answers one request at a time per
+ * connection, and different connections in parallel).
  *
  * @code
  *   fpc::SocketClient client("/run/fpcd.sock");

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <memory>
 #include <thread>
 #include <utility>
 
@@ -196,8 +197,8 @@ Service::SetTenantQos(const std::string& tenant, const TenantQos& qos)
     state.bucket_started = true;
 }
 
-std::future<ServiceResponse>
-Service::Submit(ServiceRequest request)
+void
+Service::Submit(ServiceRequest request, Completion done)
 {
     if (request.verb != ServiceVerb::kCompress &&
         request.verb != ServiceVerb::kDecompress &&
@@ -210,7 +211,7 @@ Service::Submit(ServiceRequest request)
     const uint64_t now = TelemetryNowNs();
     Pending pending;
     pending.submit_ns = now;
-    std::future<ServiceResponse> future = pending.promise.get_future();
+    pending.done = std::move(done);
 
     {
         std::lock_guard<std::mutex> lock(mutex_);
@@ -283,6 +284,16 @@ Service::Submit(ServiceRequest request)
     }
     queue_depth_gauge_->Add(1);
     work_cv_.notify_one();
+}
+
+std::future<ServiceResponse>
+Service::Submit(ServiceRequest request)
+{
+    auto promise = std::make_shared<std::promise<ServiceResponse>>();
+    std::future<ServiceResponse> future = promise->get_future();
+    Submit(std::move(request), [promise](ServiceResponse&& response) {
+        promise->set_value(std::move(response));
+    });
     return future;
 }
 
@@ -378,9 +389,9 @@ Service::WorkerLoop()
         }
         RecordOutcome(pending.request, response, state->metrics,
                       pending.submit_ns, start_ns, end_ns);
-        // Fulfil last, unlocked: the waiter may immediately destroy the
-        // service from its continuation.
-        pending.promise.set_value(std::move(response));
+        // Complete last, unlocked: the waiter may immediately destroy
+        // the service from its continuation.
+        pending.done(std::move(response));
     }
 }
 

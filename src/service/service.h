@@ -48,6 +48,7 @@
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <future>
 #include <map>
 #include <mutex>
@@ -150,8 +151,8 @@ struct ServiceConfig {
 
 /**
  * The scheduler. Construction spawns the worker pool; destruction (or
- * Stop()) drains every accepted request — each Submit()ed future is
- * always fulfilled.
+ * Stop()) drains every accepted request — each accepted request's
+ * completion runs exactly once.
  *
  * @code
  *   fpc::Service service({.workers = 4});
@@ -171,20 +172,28 @@ class Service {
     Service& operator=(const Service&) = delete;
     ~Service();
 
+    /** Receives an accepted request's response. Runs once, on the
+     *  worker that executed the request, after the request's metrics
+     *  and log line are recorded and with no scheduler lock held. */
+    using Completion = std::function<void(ServiceResponse&&)>;
+
     /**
      * Enqueue a request. Never blocks: when the queue is full, the
      * tenant is at its in-flight cap, or its token bucket is empty,
      * throws ServiceBusy (the request had no effect; retry later).
      * Throws UsageError for control verbs (kStats/kShutdown) and after
-     * Stop(). The returned future is always eventually fulfilled;
-     * execution errors arrive as ServiceResponse::status, not as
-     * exceptions.
+     * Stop(); a rejected request never runs @p done. An accepted one
+     * always does, execution errors arriving as
+     * ServiceResponse::status, not as exceptions.
      */
+    void Submit(ServiceRequest request, Completion done);
+
+    /** Submit with the response delivered through a future. */
     std::future<ServiceResponse> Submit(ServiceRequest request);
 
     /** Submit + wait, with every rejection folded into the response
-     *  status (the front-end loop's shape: one ServiceResponse out per
-     *  request in, never an exception). */
+     *  status: one ServiceResponse out per request in, never an
+     *  exception. */
     ServiceResponse Call(ServiceRequest request);
 
     /** Set (or update) one tenant's QoS limits; also refills its
@@ -221,7 +230,7 @@ class Service {
  private:
     struct Pending {
         ServiceRequest request;
-        std::promise<ServiceResponse> promise;
+        Completion done;
         uint64_t submit_ns = 0;
     };
 

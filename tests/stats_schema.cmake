@@ -6,7 +6,7 @@
 # Runs `fpczip --stats` for one speed and one ratio algorithm, captures
 # the telemetry JSON lines from stderr, and validates them field-by-field
 # with the Python schema checker; also runs a decompress with
-# --stats-file and --trace so the fpc.telemetry.v3 decode digests and the
+# --stats-file and --trace so the fpc.telemetry.v7 decode digests and the
 # fpc.trace.v1 timeline go through the same checker. In FPC_TELEMETRY=0
 # builds the lines still appear but stay empty, so the checker runs with
 # --allow-empty.
@@ -43,7 +43,7 @@ foreach(algorithm SPspeed DPratio)
 endforeach()
 
 # Decompress with --stats-file and --trace: both artifacts are JSON the
-# checker recognises (telemetry v3 with decode-side digests, trace v1).
+# checker recognises (telemetry v7 with decode-side digests, trace v1).
 set(stats_file "${WORK_DIR}/decode-stats.json")
 set(trace_file "${WORK_DIR}/decode-trace.json")
 execute_process(

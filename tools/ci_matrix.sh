@@ -242,7 +242,10 @@ rm -rf "${svc_dir}"
 # Live-metrics + drain-reconcile smoke: fpcd with a --metrics-socket
 # exporter, driven by bench_service in socket mode (polite tenants over
 # real daemon connections). Mid-run the HTTP /metrics endpoint is
-# scraped with a 50 ms latency budget and schema-checked; after the
+# scraped with a 50 ms latency budget and schema-checked, while a client
+# that sent half a frame length holds a protocol connection open (the
+# daemon's one event loop must answer the scrape anyway, then cut the
+# stalled client after its 2 s stall timeout); after the
 # load settles a final scrape is taken and the daemon is drained with
 # SIGTERM. The registry is checked against an outside truth, the
 # requests bench_service completed (it exits non-zero on any failure):
@@ -279,6 +282,19 @@ FPC_BENCH_SERVICE_SOCKET="${met_sock}" \
     "${out}/default/bench/bench_service" "${met_dir}/bench.json" \
     2> "${met_dir}/bench_stderr.log" &
 bench_pid=$!
+python3 - "${met_sock}" <<'EOF' &
+import socket, sys, time
+s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+s.connect(sys.argv[1])
+s.sendall(b"\x10\x00")  # two of the four length bytes, then silence
+s.settimeout(10)
+t0 = time.monotonic()
+if s.recv(1) != b"":
+    sys.exit("metrics smoke: the half-frame client got bytes, not a cut")
+print(f"metrics smoke: half-frame client cut after "
+      f"{time.monotonic() - t0:.1f} s")
+EOF
+stall_pid=$!
 sleep 0.3
 # Timed mid-run scrape over the unix-socket HTTP endpoint (python
 # stdlib only): the exporter must answer inside the 50 ms budget even
@@ -311,6 +327,7 @@ if elapsed_ms > budget_ms:
 EOF
 python3 "${root}/tools/check_stats_schema.py" \
     "${met_dir}/scrape_midrun.txt"
+wait "${stall_pid}"
 wait "${bench_pid}"
 python3 "${root}/tools/check_stats_schema.py" "${met_dir}/bench.json"
 # Admin surface through the framed protocol: the exposition and the
@@ -322,7 +339,9 @@ python3 "${root}/tools/check_stats_schema.py" \
 "${out}/default/fpcc" "--socket=${met_sock}" health \
     | grep -q '"status": "ok"'
 "${out}/default/fpcc" "--socket=${met_sock}" server_stats \
-    | grep -q '"protocol_errors": 0'
+    > "${met_dir}/server_stats.json"
+grep -q '"protocol_errors": 0,' "${met_dir}/server_stats.json"
+grep -q '"stalled": 1,' "${met_dir}/server_stats.json"
 # Final scrape with the daemon idle, then a SIGTERM drain; both the
 # last scrape and the drain-time exposition must count exactly the
 # requests bench_service completed.
