@@ -9,6 +9,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <future>
 #include <sstream>
@@ -292,9 +293,9 @@ TEST(ServiceTest, RoundRobinKeepsFloodedTenantFromStarvingAnother)
     // One worker, paused: stage a 30-deep flood from A, then 5 requests
     // from B. Round-robin dispatch alternates A,B,A,B..., so B's last
     // request completes while A still holds most of its backlog. The
-    // requests run the ratio pipeline over ~200 KB each, so the
-    // remaining backlog is many milliseconds of runway — the snapshot
-    // below races the worker by microseconds only.
+    // flood count is read inside B's last completion, which the worker
+    // runs before it dispatches anything else, so no scheduling delay
+    // of this thread enters the count.
     // Completions are read as registry deltas under tenant names no
     // other test uses (the registry is process-wide).
     Counter* flooded = OkCompressions("rr-flood");
@@ -308,20 +309,30 @@ TEST(ServiceTest, RoundRobinKeepsFloodedTenantFromStarvingAnother)
         flood.push_back(service.Submit(CompressRequest(
             payload, Algorithm::kSPratio, "", false, "rr-flood")));
     }
-    std::vector<std::future<ServiceResponse>> polite;
+    std::atomic<int> polite_left{5};
+    std::atomic<int> polite_failed{0};
+    uint64_t flooded_when_polite_done = 0;
+    std::promise<void> polite_finished;
     for (int i = 0; i < 5; ++i) {
-        polite.push_back(service.Submit(CompressRequest(
-            payload, Algorithm::kSPratio, "", false, "rr-polite")));
+        service.Submit(
+            CompressRequest(payload, Algorithm::kSPratio, "", false,
+                            "rr-polite"),
+            [&](ServiceResponse&& response) {
+                if (response.status != Errc::kOk) ++polite_failed;
+                if (--polite_left == 0) {
+                    flooded_when_polite_done =
+                        flooded->Value() - flooded_before;
+                    polite_finished.set_value();
+                }
+            });
     }
     service.Resume();
-    for (auto& future : polite) {
-        EXPECT_EQ(future.get().status, Errc::kOk);
-    }
+    polite_finished.get_future().wait();
+    EXPECT_EQ(polite_failed.load(), 0);
     // The polite tenant is done; under strict alternation the flooder
-    // has executed ~5-6 of 30. Allow slack for the worker racing ahead
-    // between .get() calls.
+    // has executed ~5-6 of 30.
     ASSERT_EQ(polite_done->Value() - polite_before, 5u);
-    EXPECT_LE(flooded->Value() - flooded_before, 15u)
+    EXPECT_LE(flooded_when_polite_done, 15u)
         << "flooding tenant starved the polite tenant";
     for (auto& future : flood) {
         EXPECT_EQ(future.get().status, Errc::kOk);
