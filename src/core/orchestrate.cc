@@ -199,15 +199,15 @@ PreDecodeFn
 PreDecodeHook(Telemetry* sink, TraceSink* trace, simd::Isa isa)
 {
     return [sink, trace, isa](const PipelineSpec& spec, ByteSpan transformed,
-                              Bytes& out) {
+                              std::span<std::byte> out) {
         ScratchArena scratch;
         scratch.SetKernelIsa(isa);
         if (sink == nullptr && trace == nullptr) {
-            spec.pre.decode(transformed, out, scratch);
+            spec.pre.decode_into(transformed, out, scratch);
             return;
         }
         const uint64_t t0 = TelemetryNowNs();
-        spec.pre.decode(transformed, out, scratch);
+        spec.pre.decode_into(transformed, out, scratch);
         const uint64_t t1 = TelemetryNowNs();
         if (sink != nullptr) {
             TelemetryShard shard;
@@ -260,23 +260,28 @@ VerifyContent(const ContainerHeader& header, ByteSpan out,
                     "content checksum mismatch");
 }
 
+/** FCM (the only pre-stage) always expands, so a valid container's
+ *  declared original size never exceeds its transformed size. Checked
+ *  before the output is sized, so a forged original_size cannot drive an
+ *  allocation beyond the file-bounded transformed stream. */
+void
+CheckPreStageSizes(const ContainerHeader& header)
+{
+    FPC_PARSE_CHECK_AT(header.original_size <= header.transformed_size,
+                       "original size exceeds transformed size", "container",
+                       8);
+}
+
 /** Stage the transformed stream of a pre-stage container, decode its
- *  chunks into it, and run @p pre_decode into @p out. */
+ *  chunks into it, and run @p pre_decode into @p out (original_size
+ *  bytes, after CheckPreStageSizes). */
 void
 DecodeThroughPreStage(const ContainerView& view, const PipelineSpec& spec,
                       const DecodeChunksFn& decode_chunks,
-                      const PreDecodeFn& pre_decode, Bytes& out)
+                      const PreDecodeFn& pre_decode, std::span<std::byte> out)
 {
-    // FCM (the only pre-stage) always expands, so a valid container's
-    // declared original size never exceeds its transformed size. Check
-    // before reserving `out` so a forged original_size cannot drive an
-    // allocation beyond the file-bounded transformed stream.
-    FPC_PARSE_CHECK_AT(
-        view.header.original_size <= view.header.transformed_size,
-        "original size exceeds transformed size", "container", 8);
     Bytes work(view.header.transformed_size);
     decode_chunks(view, spec, work.data(), nullptr);
-    out.reserve(view.header.original_size);
     pre_decode(spec, ByteSpan(work), out);
 }
 
@@ -305,7 +310,10 @@ RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
         out.resize(view.header.original_size);
         decode_chunks(view, spec, out.data(), &sum);
     } else {
-        DecodeThroughPreStage(view, spec, decode_chunks, pre_decode, out);
+        CheckPreStageSizes(view.header);
+        out.resize(view.header.original_size);
+        DecodeThroughPreStage(view, spec, decode_chunks, pre_decode,
+                              std::span<std::byte>(out));
     }
     VerifyContent(view.header, ByteSpan(out), sum, trace);
     return out;
@@ -330,13 +338,10 @@ RunDecompressInto(ByteSpan compressed, std::span<std::byte> out,
         CheckPreStageFree(view.header);
         decode_chunks(view, spec, out.data(), &sum);
     } else {
-        // The whole-input pre-stage needs the full transformed stream.
-        Bytes restored;
-        DecodeThroughPreStage(view, spec, decode_chunks, pre_decode,
-                              restored);
-        FPC_PARSE_CHECK(restored.size() == out.size(),
-                        "decompressed size mismatch");
-        std::copy(restored.begin(), restored.end(), out.begin());
+        // The whole-input pre-stage needs the full transformed stream,
+        // and restores straight into the caller's memory.
+        CheckPreStageSizes(view.header);
+        DecodeThroughPreStage(view, spec, decode_chunks, pre_decode, out);
     }
     VerifyContent(view.header, ByteSpan(out.data(), out.size()), sum,
                   trace);
@@ -410,10 +415,10 @@ RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
     };
     const PreDecodeFn pre_decode = [&scratch](const PipelineSpec& spec,
                                               ByteSpan transformed,
-                                              Bytes& out) {
+                                              std::span<std::byte> out) {
         TelemetryShard* shard = scratch.Telemetry();
         const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-        spec.pre.decode(transformed, out, scratch);
+        spec.pre.decode_into(transformed, out, scratch);
         if (shard != nullptr) {
             RecordPreStage(*shard, kTraceDecode, spec.pre.id,
                            transformed.size(), out.size(), t0,

@@ -213,13 +213,14 @@ using DecodeChunksFn =
     std::function<void(const ContainerView& view, const PipelineSpec& spec,
                        std::byte* dest, Checksum64Stream* checksum)>;
 
-/** Executor hook: the whole-input pre-stage decode (FCM for DPratio).
- *  Only invoked when spec.pre.decode is set. */
+/** Executor hook: the whole-input pre-stage decode (FCM for DPratio)
+ *  into @p out, exactly the container's original size. Only invoked
+ *  when spec.pre.decode is set. */
 using PreDecodeFn = std::function<void(
-    const PipelineSpec& spec, ByteSpan transformed, Bytes& out)>;
+    const PipelineSpec& spec, ByteSpan transformed, std::span<std::byte> out)>;
 
 /** The pre-decode hook both executors pass the decompression driver:
- *  spec.pre.decode on the orchestrating thread, kernels dispatching on
+ *  spec.pre.decode_into on the orchestrating thread, kernels dispatching on
  *  @p isa. Its stage counters merge into @p sink and its kPre span
  *  (worker 0) goes to @p trace, each when non-null. */
 PreDecodeFn PreDecodeHook(Telemetry* sink, TraceSink* trace, simd::Isa isa);

@@ -36,7 +36,8 @@ struct Stage {
     void (*decode)(ByteSpan, Bytes&, ScratchArena&) = nullptr;
     /** Optional: decode directly into a span of exactly the decoded size.
      *  Set on the first pipeline stage so chunk decode can write straight
-     *  into the destination buffer with no intermediate copy. */
+     *  into the destination buffer with no intermediate copy; required on
+     *  a whole-input pre-stage, which decodes into the caller's output. */
     void (*decode_into)(ByteSpan, std::span<std::byte>, ScratchArena&) =
         nullptr;
 };

@@ -823,7 +823,7 @@ BuildDeviceStages()
     // FCM has no device kernel: the chunked-FCM stage of the adaptive
     // DPratio pipeline is the CPU transform on both backends.
     at(StageId::kFcm, 8) = {"FCM", StageId::kFcm, tf::FcmEncode,
-                            tf::FcmDecode};
+                            tf::FcmDecode, tf::FcmDecodeInto};
     return table;
 }
 

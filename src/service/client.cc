@@ -29,7 +29,7 @@ SocketClient::Call(const ServiceRequest& request)
         throw std::runtime_error(
             "service connection closed before a reply");
     }
-    return DecodeResponse(ByteSpan(body));
+    return DecodeResponse(std::move(body));
 }
 
 }  // namespace fpc

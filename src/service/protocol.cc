@@ -82,14 +82,6 @@ class BodyReader {
         return text;
     }
 
-    Bytes
-    Rest()
-    {
-        Bytes out(body_.begin() + static_cast<ptrdiff_t>(at_), body_.end());
-        at_ = body_.size();
-        return out;
-    }
-
     size_t Offset() const { return at_; }
 
  private:
@@ -261,21 +253,23 @@ DecodeRequest(Bytes&& body)
     return request;
 }
 
-Bytes
-EncodeResponse(const ServiceResponse& response)
+namespace {
+
+void
+AppendResponse(Bytes& out, const ServiceResponse& response)
 {
-    Bytes out;
-    out.reserve(16 + response.error.size() + response.payload.size());
+    out.reserve(out.size() + 16 + response.error.size() +
+                response.payload.size());
     AppendPreamble(out, kFrameResponse);
     AppendU8(out, static_cast<uint8_t>(response.status));
     AppendRaw(out, static_cast<uint32_t>(response.error.size()));
     AppendString(out, response.error);
     AppendBytes(out, ByteSpan(response.payload));
-    return out;
 }
 
+/** Every response field but the payload, which starts at @p payload_at. */
 ServiceResponse
-DecodeResponse(ByteSpan body)
+DecodeResponseHead(ByteSpan body, size_t& payload_at)
 {
     BodyReader reader = OpenBody(body, kFrameResponse);
     ServiceResponse response;
@@ -286,7 +280,54 @@ DecodeResponse(ByteSpan body)
     response.status = static_cast<Errc>(status);
     const uint32_t error_length = reader.U32("error length");
     response.error = reader.String(error_length, "error text");
-    response.payload = reader.Rest();
+    payload_at = reader.Offset();
+    return response;
+}
+
+}  // namespace
+
+Bytes
+EncodeResponse(const ServiceResponse& response)
+{
+    Bytes out;
+    AppendResponse(out, response);
+    return out;
+}
+
+Bytes
+EncodeResponseFrame(const ServiceResponse& response)
+{
+    // The body is encoded once, straight after a reserved prefix.
+    Bytes frame(kFramePrefixBytes);
+    AppendResponse(frame, response);
+    const size_t body = frame.size() - kFramePrefixBytes;
+    if (body > kMaxFrameBytes) {
+        throw UsageError("frame body exceeds the " +
+                         std::to_string(kMaxFrameBytes) + "-byte cap");
+    }
+    const auto length = static_cast<uint32_t>(body);
+    std::memcpy(frame.data(), &length, sizeof length);
+    return frame;
+}
+
+ServiceResponse
+DecodeResponse(ByteSpan body)
+{
+    size_t payload_at = 0;
+    ServiceResponse response = DecodeResponseHead(body, payload_at);
+    response.payload.assign(
+        body.begin() + static_cast<ptrdiff_t>(payload_at), body.end());
+    return response;
+}
+
+ServiceResponse
+DecodeResponse(Bytes&& body)
+{
+    size_t payload_at = 0;
+    ServiceResponse response = DecodeResponseHead(ByteSpan(body), payload_at);
+    body.erase(body.begin(),
+               body.begin() + static_cast<ptrdiff_t>(payload_at));
+    response.payload = std::move(body);
     return response;
 }
 

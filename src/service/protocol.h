@@ -76,9 +76,11 @@ Bytes EncodeResponse(const ServiceResponse& response);
 ServiceRequest DecodeRequest(ByteSpan body);
 ServiceResponse DecodeResponse(ByteSpan body);
 
-/** DecodeRequest that moves the payload out of @p body instead of
- *  copying it into fresh memory: the header is erased in place. */
+/** DecodeRequest/DecodeResponse that move the payload out of @p body
+ *  instead of copying it into fresh memory: the header is erased in
+ *  place. */
 ServiceRequest DecodeRequest(Bytes&& body);
+ServiceResponse DecodeResponse(Bytes&& body);
 
 /** Bytes of a frame's length prefix (the body length, host order). */
 inline constexpr size_t kFramePrefixBytes = 4;
@@ -99,6 +101,11 @@ bool ReadFrame(int fd, Bytes& body);
 /** @p body as one length-prefixed frame, the bytes WriteFrame sends.
  *  Throws UsageError when body.size() exceeds kMaxFrameBytes. */
 Bytes EncodeFrame(ByteSpan body);
+
+/** EncodeFrame(EncodeResponse(@p response)) with one copy of the
+ *  payload: the body is encoded straight after the length prefix.
+ *  Throws UsageError when the body exceeds kMaxFrameBytes. */
+Bytes EncodeResponseFrame(const ServiceResponse& response);
 
 /** Write EncodeFrame(@p body) to a blocking socket (MSG_NOSIGNAL,
  *  retries EINTR and short writes). Throws std::runtime_error on

@@ -81,7 +81,7 @@ ErrorFrame(Errc status, const char* error)
     ServiceResponse response;
     response.status = status;
     response.error = error;
-    return EncodeFrame(ByteSpan(EncodeResponse(response)));
+    return EncodeResponseFrame(response);
 }
 
 /** The reply frame for @p response; a payload past the frame cap (a
@@ -89,10 +89,11 @@ ErrorFrame(Errc status, const char* error)
 Bytes
 ReplyFrame(const ServiceResponse& response)
 {
-    const Bytes body = EncodeResponse(response);
-    return body.size() > kMaxFrameBytes
-               ? ErrorFrame(Errc::kUsage, "response exceeds the frame cap")
-               : EncodeFrame(ByteSpan(body));
+    try {
+        return EncodeResponseFrame(response);
+    } catch (const UsageError&) {
+        return ErrorFrame(Errc::kUsage, "response exceeds the frame cap");
+    }
 }
 
 }  // namespace
@@ -292,13 +293,15 @@ SocketServer::Accept(int listen_fd, bool http)
         }
         if ((http ? http_open_ : open_) >=
             (http ? kHttpConnections : max_connections_)) {
+            // Counted before the peer can see the refusal, so a client
+            // that reads the counter after its reply sees this one.
+            metric_refused_->Inc();
             SendOnce(fd, http ? HttpResponse("503 Service Unavailable",
                                              "text/plain",
                                              "connection limit reached\n")
                               : ErrorFrame(Errc::kBusy,
                                            "connection limit reached"));
             ::close(fd);
-            metric_refused_->Inc();
             continue;
         }
         const uint64_t id = next_conn_++;

@@ -11,13 +11,16 @@
  *
  * The 32-bit path transposes 32x32 blocks between the input span and the
  * output buffer — the same decomposition the GPU kernels use per warp.
- * When the word count is a multiple of 32 the plane rows are word-aligned
- * and the transposed words store directly; otherwise (the pipeline norm:
- * DIFFMS prepends an 8-byte header) they are OR-spliced at the rows'
- * unaligned bit offsets. Inputs under 32 words use a bit-granular
- * fallback producing the identical layout (the fallback's decode stages
- * through the arena's word scratch because it ORs bits into words
- * incrementally).
+ * Encode: when the word count is a multiple of 32 the plane rows are
+ * word-aligned and the transposed words store directly; otherwise (the
+ * pipeline norm: DIFFMS prepends an 8-byte header) a sequential bit sink
+ * emits the rows at their unaligned bit offsets, and inputs under 32
+ * words use a bit-granular fallback producing the identical layout.
+ * Decode has one path for every word count: each plane row's bit phase
+ * is fixed, so every plane word is one unaligned load and a shift
+ * (BitDecodeGather32). The 64-bit path is bit-granular both ways; its
+ * decode stages through the arena's word scratch because it ORs bits
+ * into words incrementally.
  */
 #include "transforms/transforms.h"
 
@@ -151,13 +154,12 @@ BitEncodeImpl(ByteSpan in, Bytes& out, ScratchArena& scratch)
     }
 }
 
-template <typename T>
 void
-BitDecodeSlow(ByteSpan packed, size_t nw, std::byte* dest,
-              ScratchArena& scratch)
+BitDecodeSlow64(ByteSpan packed, size_t nw, std::byte* dest,
+                ScratchArena& scratch)
 {
-    constexpr unsigned kWordBits = sizeof(T) * 8;
-    std::vector<T>& words = scratch.Words<T>();
+    constexpr unsigned kWordBits = 64;
+    std::vector<uint64_t>& words = scratch.Words<uint64_t>();
     words.assign(nw, 0);
     BitReader bits(packed);
     for (unsigned plane = 0; plane < kWordBits; ++plane) {
@@ -166,64 +168,78 @@ BitDecodeSlow(ByteSpan packed, size_t nw, std::byte* dest,
         for (; i + 8 <= nw; i += 8) {
             uint64_t byte = bits.Get(8);
             for (unsigned j = 0; j < 8; ++j) {
-                words[i + j] |= static_cast<T>((byte >> j) & 1u) << shift;
+                words[i + j] |= ((byte >> j) & 1u) << shift;
             }
         }
         for (; i < nw; ++i) {
-            if (bits.GetBit()) words[i] |= T{1} << shift;
+            if (bits.GetBit()) words[i] |= uint64_t{1} << shift;
         }
     }
-    if (nw != 0) std::memcpy(dest, words.data(), nw * sizeof(T));
+    if (nw != 0) std::memcpy(dest, words.data(), nw * sizeof(uint64_t));
 }
 
-void
-BitDecodeFast32(ByteSpan packed, size_t nw, std::byte* dest,
-                const simd::KernelTable& kernels)
+/** The 8 stream bytes at @p byte, zero-filled past @p size. */
+uint64_t
+LoadClamped(const std::byte* src, size_t size, size_t byte)
 {
-    const size_t groups = nw / 32;
-    for (size_t g = 0; g < groups; ++g) {
-        uint32_t block[32];
-        for (unsigned j = 0; j < 32; ++j) {
-            const unsigned p = 31 - j;
-            block[j] = WordAt<uint32_t>(packed, p * groups + g);
-        }
-        kernels.transpose32x32(block);  // the transpose is an involution
-        std::memcpy(dest + g * 32 * sizeof(uint32_t), block, sizeof(block));
+    uint64_t w = 0;
+    if (byte < size) {
+        std::memcpy(&w, src + byte, std::min<size_t>(8, size - byte));
     }
+    return w;
 }
 
-/** Inverse of BitEncodeBlocked32: reads the plane stream sequentially
- * into the arena's word scratch (plus a small register-file of tail
- * words), then transposes each block back out. */
+/**
+ * 32-bit decode for any word count, the inverse of both encode paths.
+ * Plane p (MSB first) starts at stream bit p * nw, so block g's word of
+ * plane p starts at bit p * nw + 32 g: byte (p * nw) / 8 + 4 g, at a bit
+ * phase (p * nw) % 8 fixed for the whole plane. Each plane word is one
+ * unaligned 64-bit load and a shift; a block's 32 words are then
+ * transposed back out. The caller has validated packed.size() == 4 nw,
+ * so only the loads of the last block or two can run past the stream;
+ * those go through LoadClamped.
+ */
 void
-BitDecodeBlocked32(ByteSpan packed, size_t nw, std::byte* dest,
-                   ScratchArena& scratch)
+BitDecodeGather32(ByteSpan packed, size_t nw, std::byte* dest,
+                  const simd::KernelTable& kernels)
 {
-    const simd::KernelTable& kernels = simd::Kernels(scratch.KernelIsa());
+    const std::byte* src = packed.data();
+    const size_t size = packed.size();
     const size_t blocks = nw / 32;
-    const size_t tail_words = nw - blocks * 32;
-    std::vector<uint32_t>& tr = scratch.Words<uint32_t>();
-    tr.resize(blocks * 32);
-    uint32_t tailw[32] = {0};
-    BitReader bits(packed);
-    for (unsigned p = 0; p < 32; ++p) {
-        const unsigned j = 31 - p;
-        for (size_t g = 0; g < blocks; ++g) {
-            tr[g * 32 + j] = static_cast<uint32_t>(bits.Get(32));
-        }
-        for (size_t i = 0; i < tail_words; ++i) {
-            if (bits.GetBit()) tailw[i] |= 1u << j;
-        }
+    size_t at[32];
+    unsigned phase[32];
+    for (unsigned j = 0; j < 32; ++j) {
+        const size_t bit = size_t{31 - j} * nw;  // plane 31 - j
+        at[j] = bit / 8;
+        phase[j] = unsigned(bit % 8);
     }
-    for (size_t g = 0; g < blocks; ++g) {
-        uint32_t block[32];
-        std::memcpy(block, tr.data() + g * 32, sizeof(block));
+    // at[0] (plane 31) is the furthest row: blocks below `safe` keep every
+    // 8-byte load inside the stream.
+    const size_t safe =
+        size >= at[0] + 8 ? std::min(blocks, (size - at[0] - 8) / 4 + 1) : 0;
+    uint32_t block[32];
+    size_t g = 0;
+    for (; g < safe; ++g) {
+        for (unsigned j = 0; j < 32; ++j) {
+            uint64_t w;
+            std::memcpy(&w, src + at[j] + 4 * g, 8);
+            block[j] = uint32_t(w >> phase[j]);
+        }
         kernels.transpose32x32(block);
-        std::memcpy(dest + g * 32 * sizeof(uint32_t), block, sizeof(block));
+        std::memcpy(dest + g * 128, block, sizeof(block));
     }
-    if (tail_words != 0) {
-        std::memcpy(dest + blocks * 32 * sizeof(uint32_t), tailw,
-                    tail_words * sizeof(uint32_t));
+    // The rest, and the partial block of nw % 32 words, whose plane rows
+    // are masked to their width.
+    for (; g * 32 < nw; ++g) {
+        const size_t words = std::min<size_t>(32, nw - g * 32);
+        const uint32_t mask = words == 32 ? ~0u : (1u << words) - 1;
+        for (unsigned j = 0; j < 32; ++j) {
+            block[j] = uint32_t(LoadClamped(src, size, at[j] + 4 * g) >>
+                                phase[j]) &
+                       mask;
+        }
+        kernels.transpose32x32(block);
+        std::memcpy(dest + g * 128, block, words * sizeof(uint32_t));
     }
 }
 
@@ -254,16 +270,10 @@ BitDecodeImpl(ByteSpan in, Bytes& out, ScratchArena& scratch)
     std::byte* dest = out.data() + base;
 
     if constexpr (sizeof(T) == 4) {
-        if (nw > 0 && nw % 32 == 0) {
-            BitDecodeFast32(packed, nw, dest,
-                            simd::Kernels(scratch.KernelIsa()));
-        } else if (nw >= 32) {
-            BitDecodeBlocked32(packed, nw, dest, scratch);
-        } else {
-            BitDecodeSlow<T>(packed, nw, dest, scratch);
-        }
+        BitDecodeGather32(packed, nw, dest,
+                          simd::Kernels(scratch.KernelIsa()));
     } else {
-        BitDecodeSlow<T>(packed, nw, dest, scratch);
+        BitDecodeSlow64(packed, nw, dest, scratch);
     }
     if (!tail.empty()) {
         std::memcpy(dest + nw * sizeof(T), tail.data(), tail.size());

@@ -7,12 +7,16 @@
  *
  * Both directions stream words straight between the input span and the
  * output buffer (unaligned loads/stores), so no arena scratch is needed;
- * the only output-buffer growth is the single up-front resize.
+ * the only output-buffer growth is the single up-front resize. Encode is
+ * a loop with no carried dependency and auto-vectorizes; decode is a
+ * zigzag decode plus prefix sum, the kernel-layer zigzag_scan32/64
+ * (util/simd.h: an in-register log-step scan with a carried lane).
  */
 #include "transforms/transforms.h"
 
 #include "util/bitio.h"
 #include "util/bitpack.h"
+#include "util/simd.h"
 
 namespace fpc::tf {
 
@@ -53,7 +57,8 @@ DiffmsEncodeImpl(ByteSpan in, Bytes& out)
 
 template <typename T>
 void
-DiffmsDecodeIntoImpl(ByteSpan in, std::span<std::byte> dest)
+DiffmsDecodeIntoImpl(ByteSpan in, std::span<std::byte> dest,
+                     const simd::KernelTable& kernels)
 {
     ByteReader br(in, kDiffmsStage);
     const size_t orig_size = br.Get<uint64_t>();
@@ -64,20 +69,21 @@ DiffmsDecodeIntoImpl(ByteSpan in, std::span<std::byte> dest)
     const size_t nw = orig_size / sizeof(T);
     ByteSpan words = br.GetBytes(nw * sizeof(T));
 
-    std::byte* p = dest.data();
-    T prev = 0;
-    for (size_t i = 0; i < nw; ++i) {
-        prev = static_cast<T>(prev + ZigzagDecode(WordAt<T>(words, i)));
-        std::memcpy(p, &prev, sizeof(T));
-        p += sizeof(T);
+    if constexpr (sizeof(T) == 4) {
+        kernels.zigzag_scan32(words.data(), nw, dest.data());
+    } else {
+        kernels.zigzag_scan64(words.data(), nw, dest.data());
     }
     ByteSpan tail = br.Rest();
-    if (!tail.empty()) std::memcpy(p, tail.data(), tail.size());
+    if (!tail.empty()) {
+        std::memcpy(dest.data() + nw * sizeof(T), tail.data(), tail.size());
+    }
 }
 
 template <typename T>
 void
-DiffmsDecodeImpl(ByteSpan in, Bytes& out, size_t budget)
+DiffmsDecodeImpl(ByteSpan in, Bytes& out, size_t budget,
+                 const simd::KernelTable& kernels)
 {
     FPC_PARSE_CHECK_AT(in.size() >= sizeof(uint64_t), "read past end",
                        kDiffmsStage, 0);
@@ -91,33 +97,59 @@ DiffmsDecodeImpl(ByteSpan in, Bytes& out, size_t budget)
                        kDiffmsStage, 0);
     const size_t base = out.size();
     out.resize(base + orig_size);
-    DiffmsDecodeIntoImpl<T>(in,
-                            std::span<std::byte>(out.data() + base,
-                                                 orig_size));
+    DiffmsDecodeIntoImpl<T>(
+        in, std::span<std::byte>(out.data() + base, orig_size), kernels);
 }
 
 }  // namespace
 
 void DiffmsEncode32(ByteSpan in, Bytes& out, ScratchArena&) { DiffmsEncodeImpl<uint32_t>(in, out); }
-void DiffmsDecode32(ByteSpan in, Bytes& out, ScratchArena& scratch) { DiffmsDecodeImpl<uint32_t>(in, out, scratch.DecodeBudget()); }
 void DiffmsEncode64(ByteSpan in, Bytes& out, ScratchArena&) { DiffmsEncodeImpl<uint64_t>(in, out); }
-void DiffmsDecode64(ByteSpan in, Bytes& out, ScratchArena& scratch) { DiffmsDecodeImpl<uint64_t>(in, out, scratch.DecodeBudget()); }
-
-void
-DiffmsDecodeInto32(ByteSpan in, std::span<std::byte> dest, ScratchArena&)
-{
-    DiffmsDecodeIntoImpl<uint32_t>(in, dest);
-}
-
-void
-DiffmsDecodeInto64(ByteSpan in, std::span<std::byte> dest, ScratchArena&)
-{
-    DiffmsDecodeIntoImpl<uint64_t>(in, dest);
-}
-
 void DiffmsEncode32(ByteSpan in, Bytes& out) { DiffmsEncodeImpl<uint32_t>(in, out); }
-void DiffmsDecode32(ByteSpan in, Bytes& out) { DiffmsDecodeImpl<uint32_t>(in, out, SIZE_MAX); }
 void DiffmsEncode64(ByteSpan in, Bytes& out) { DiffmsEncodeImpl<uint64_t>(in, out); }
-void DiffmsDecode64(ByteSpan in, Bytes& out) { DiffmsDecodeImpl<uint64_t>(in, out, SIZE_MAX); }
+
+void
+DiffmsDecode32(ByteSpan in, Bytes& out, ScratchArena& scratch)
+{
+    DiffmsDecodeImpl<uint32_t>(in, out, scratch.DecodeBudget(),
+                               simd::Kernels(scratch.KernelIsa()));
+}
+
+void
+DiffmsDecode64(ByteSpan in, Bytes& out, ScratchArena& scratch)
+{
+    DiffmsDecodeImpl<uint64_t>(in, out, scratch.DecodeBudget(),
+                               simd::Kernels(scratch.KernelIsa()));
+}
+
+void
+DiffmsDecodeInto32(ByteSpan in, std::span<std::byte> dest,
+                   ScratchArena& scratch)
+{
+    DiffmsDecodeIntoImpl<uint32_t>(in, dest,
+                                   simd::Kernels(scratch.KernelIsa()));
+}
+
+void
+DiffmsDecodeInto64(ByteSpan in, std::span<std::byte> dest,
+                   ScratchArena& scratch)
+{
+    DiffmsDecodeIntoImpl<uint64_t>(in, dest,
+                                   simd::Kernels(scratch.KernelIsa()));
+}
+
+void
+DiffmsDecode32(ByteSpan in, Bytes& out)
+{
+    DiffmsDecodeImpl<uint32_t>(in, out, SIZE_MAX,
+                               simd::Kernels(simd::DefaultIsa()));
+}
+
+void
+DiffmsDecode64(ByteSpan in, Bytes& out)
+{
+    DiffmsDecodeImpl<uint64_t>(in, out, SIZE_MAX,
+                               simd::Kernels(simd::DefaultIsa()));
+}
 
 }  // namespace fpc::tf

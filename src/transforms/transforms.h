@@ -67,6 +67,8 @@ void RzeDecode(ByteSpan in, Bytes& out, ScratchArena& scratch);
 // exempt from the zero-allocation rule and ignores the arena.
 void FcmEncode(ByteSpan in, Bytes& out, ScratchArena& scratch);
 void FcmDecode(ByteSpan in, Bytes& out, ScratchArena& scratch);
+void FcmDecodeInto(ByteSpan in, std::span<std::byte> dest,
+                   ScratchArena& scratch);
 
 // ---- RAZE: repeated adaptive zero elimination (64-bit words) ----
 void RazeEncode64(ByteSpan in, Bytes& out, ScratchArena& scratch);

@@ -3,7 +3,7 @@
  * The SIMD kernel layer: one function-pointer table per ISA level for
  * the hot inner loops of the ratio-pipeline transforms (BIT transpose,
  * RZE byte scan/scatter, bitmap-codec diff scan/expand, RAZE/RARE
- * predicate bitmaps, FCM context hashing).
+ * predicate bitmaps, FCM context hashing, DIFFMS decode scans).
  *
  * Contract (see DESIGN.md "SIMD kernel layer"):
  *  - Every kernel is a drop-in replacement for its scalar twin in
@@ -97,11 +97,22 @@ struct KernelTable {
                              std::byte* bitmap);
 
     /**
-     * FCM context hashes: hashes[i] = FcmContextHash(values[i-1],
-     * values[i-2], values[i-3]) with out-of-range predecessors read as
-     * zero (util/hash.h).
+     * FCM context hashes over @p n unaligned little-endian 64-bit words
+     * at @p values: hashes[i] = FcmContextHash(v[i-1], v[i-2], v[i-3])
+     * with out-of-range predecessors read as zero (util/hash.h).
      */
-    void (*fcm_hash)(const uint64_t* values, size_t n, uint64_t* hashes);
+    void (*fcm_hash)(const std::byte* values, size_t n, uint64_t* hashes);
+
+    /**
+     * DIFFMS decode over @p n unaligned little-endian 32-bit words:
+     * out[i] = out[i-1] + ZigzagDecode(in[i]) mod 2^32, with out[-1]
+     * read as zero — a zigzag decode followed by an inclusive prefix sum
+     * (util/bitpack.h). @p in and @p out do not overlap.
+     */
+    void (*zigzag_scan32)(const std::byte* in, size_t n, std::byte* out);
+
+    /** zigzag_scan32 over 64-bit words, mod 2^64. */
+    void (*zigzag_scan64)(const std::byte* in, size_t n, std::byte* out);
 };
 
 /** The portable reference table (always available). */

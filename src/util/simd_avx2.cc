@@ -267,29 +267,86 @@ HashCombineAvx2(__m256i h, __m256i v)
 }
 
 void
-FcmHashAvx2(const uint64_t* values, size_t n, uint64_t* hashes)
+FcmHashAvx2(const std::byte* values, size_t n, uint64_t* hashes)
 {
     size_t i = 0;
     // First three lanes read zero-padded history; keep them scalar so
     // the vector loop's values + i - 3 loads start in bounds.
     for (; i < n && i < 3; ++i) {
-        hashes[i] = FcmContextHash(i >= 1 ? values[i - 1] : 0,
-                                   i >= 2 ? values[i - 2] : 0, 0);
+        hashes[i] = FcmContextHash(i >= 1 ? Word64At(values, i - 1) : 0,
+                                   i >= 2 ? Word64At(values, i - 2) : 0, 0);
     }
     for (; i + 4 <= n; i += 4) {
         const __m256i v1 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(values + i - 1));
+            reinterpret_cast<const __m256i*>(values + (i - 1) * 8));
         const __m256i v2 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(values + i - 2));
+            reinterpret_cast<const __m256i*>(values + (i - 2) * 8));
         const __m256i v3 = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(values + i - 3));
+            reinterpret_cast<const __m256i*>(values + (i - 3) * 8));
         const __m256i h =
             HashCombineAvx2(HashCombineAvx2(Mix64Avx2(v1), v2), v3);
         _mm256_storeu_si256(reinterpret_cast<__m256i*>(hashes + i), h);
     }
     for (; i < n; ++i) {
-        hashes[i] = FcmContextHash(values[i - 1], values[i - 2], values[i - 3]);
+        hashes[i] = FcmContextHash(Word64At(values, i - 1),
+                                   Word64At(values, i - 2),
+                                   Word64At(values, i - 3));
     }
+}
+
+void
+ZigzagScan32Avx2(const std::byte* in, size_t n, std::byte* out)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i one = _mm256_set1_epi32(1);
+    const __m256i last = _mm256_set1_epi32(7);
+    __m256i carry = zero;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m256i z =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i * 4));
+        __m256i x = _mm256_xor_si256(
+            _mm256_srli_epi32(z, 1),
+            _mm256_sub_epi32(zero, _mm256_and_si256(z, one)));
+        // Scan each 128-bit half with byte shifts, then add the low
+        // half's last lane (broadcast by pshufd, moved up by vperm2i128
+        // with the low half zeroed) into the high half.
+        x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
+        x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
+        const __m256i low3 = _mm256_shuffle_epi32(x, 0xff);
+        x = _mm256_add_epi32(x, _mm256_permute2x128_si256(low3, low3, 0x08));
+        // One add per vector on the carried lane's chain (see the
+        // AVX-512 twin).
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * 4),
+                            _mm256_add_epi32(x, carry));
+        carry = _mm256_add_epi32(carry, _mm256_permutevar8x32_epi32(x, last));
+    }
+    ZigzagScanTail<uint32_t>(in, i, n, out);
+}
+
+void
+ZigzagScan64Avx2(const std::byte* in, size_t n, std::byte* out)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i one = _mm256_set1_epi64x(1);
+    __m256i carry = zero;
+    size_t i = 0;
+    for (; i + 4 <= n; i += 4) {
+        const __m256i z =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + i * 8));
+        __m256i x = _mm256_xor_si256(
+            _mm256_srli_epi64(z, 1),
+            _mm256_sub_epi64(zero, _mm256_and_si256(z, one)));
+        x = _mm256_add_epi64(x, _mm256_slli_si256(x, 8));
+        // Lane 1 (the low half's sum) into lanes 2 and 3.
+        x = _mm256_add_epi64(
+            x, _mm256_blend_epi32(zero, _mm256_permute4x64_epi64(x, 0x55),
+                                  0xf0));
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i * 8),
+                            _mm256_add_epi64(x, carry));
+        carry = _mm256_add_epi64(carry, _mm256_permute4x64_epi64(x, 0xff));
+    }
+    ZigzagScanTail<uint64_t>(in, i, n, out);
 }
 
 }  // namespace
@@ -306,6 +363,7 @@ Avx2Kernels()
         detail::NonzeroScatterAvx2,   detail::DiffScanAvx2,
         detail::DiffExpandScalar,     detail::TopBitmap64Avx2,
         detail::MatchBitmap64Avx2,    detail::FcmHashAvx2,
+        detail::ZigzagScan32Avx2,     detail::ZigzagScan64Avx2,
     };
     return table;
 }

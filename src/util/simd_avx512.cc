@@ -9,7 +9,9 @@
  * versions fall back to bit loops: compress-store gathers the selected
  * bytes in one instruction (VBMI2), expand-load inverts it on decode
  * with per-element fault suppression, and predicate bitmaps come
- * straight out of compare masks.
+ * straight out of compare masks. The DIFFMS decode scans run a log-step
+ * prefix sum inside one register (valign shifts in zero lanes) and carry
+ * the last lane into the next vector.
  */
 #include <immintrin.h>
 
@@ -176,24 +178,78 @@ HashCombineAvx512(__m512i h, __m512i v)
 }
 
 void
-FcmHashAvx512(const uint64_t* values, size_t n, uint64_t* hashes)
+FcmHashAvx512(const std::byte* values, size_t n, uint64_t* hashes)
 {
     size_t i = 0;
     for (; i < n && i < 3; ++i) {
-        hashes[i] = FcmContextHash(i >= 1 ? values[i - 1] : 0,
-                                   i >= 2 ? values[i - 2] : 0, 0);
+        hashes[i] = FcmContextHash(i >= 1 ? Word64At(values, i - 1) : 0,
+                                   i >= 2 ? Word64At(values, i - 2) : 0, 0);
     }
     for (; i + 8 <= n; i += 8) {
-        const __m512i v1 = _mm512_loadu_si512(values + i - 1);
-        const __m512i v2 = _mm512_loadu_si512(values + i - 2);
-        const __m512i v3 = _mm512_loadu_si512(values + i - 3);
+        const __m512i v1 = _mm512_loadu_si512(values + (i - 1) * 8);
+        const __m512i v2 = _mm512_loadu_si512(values + (i - 2) * 8);
+        const __m512i v3 = _mm512_loadu_si512(values + (i - 3) * 8);
         const __m512i h =
             HashCombineAvx512(HashCombineAvx512(Mix64Avx512(v1), v2), v3);
         _mm512_storeu_si512(hashes + i, h);
     }
     for (; i < n; ++i) {
-        hashes[i] = FcmContextHash(values[i - 1], values[i - 2], values[i - 3]);
+        hashes[i] = FcmContextHash(Word64At(values, i - 1),
+                                   Word64At(values, i - 2),
+                                   Word64At(values, i - 3));
     }
+}
+
+void
+ZigzagScan32Avx512(const std::byte* in, size_t n, std::byte* out)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi32(1);
+    const __m512i ones = _mm512_set1_epi32(-1);
+    const __m512i last = _mm512_set1_epi32(15);
+    __m512i carry = zero;
+    size_t i = 0;
+    for (; i + 16 <= n; i += 16) {
+        // Zigzag decode: z >> 1, complemented where z is odd (the
+        // complement is a masked xor, sparing the negate).
+        const __m512i z = _mm512_loadu_si512(in + i * 4);
+        const __m512i half = _mm512_srli_epi32(z, 1);
+        __m512i x = _mm512_mask_xor_epi32(
+            half, _mm512_test_epi32_mask(z, one), half, ones);
+        // alignr(x, 0, 16 - k) moves every lane up by k, zero-filling.
+        x = _mm512_add_epi32(x, _mm512_alignr_epi32(x, zero, 15));
+        x = _mm512_add_epi32(x, _mm512_alignr_epi32(x, zero, 14));
+        x = _mm512_add_epi32(x, _mm512_alignr_epi32(x, zero, 12));
+        x = _mm512_add_epi32(x, _mm512_alignr_epi32(x, zero, 8));
+        // The carried lane's chain is one add per vector: the block
+        // total is broadcast from the local scan, not from the result.
+        _mm512_storeu_si512(out + i * 4, _mm512_add_epi32(x, carry));
+        carry = _mm512_add_epi32(carry, _mm512_permutexvar_epi32(last, x));
+    }
+    ZigzagScanTail<uint32_t>(in, i, n, out);
+}
+
+void
+ZigzagScan64Avx512(const std::byte* in, size_t n, std::byte* out)
+{
+    const __m512i zero = _mm512_setzero_si512();
+    const __m512i one = _mm512_set1_epi64(1);
+    const __m512i ones = _mm512_set1_epi64(-1);
+    const __m512i last = _mm512_set1_epi64(7);
+    __m512i carry = zero;
+    size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        const __m512i z = _mm512_loadu_si512(in + i * 8);
+        const __m512i half = _mm512_srli_epi64(z, 1);
+        __m512i x = _mm512_mask_xor_epi64(
+            half, _mm512_test_epi64_mask(z, one), half, ones);
+        x = _mm512_add_epi64(x, _mm512_alignr_epi64(x, zero, 7));
+        x = _mm512_add_epi64(x, _mm512_alignr_epi64(x, zero, 6));
+        x = _mm512_add_epi64(x, _mm512_alignr_epi64(x, zero, 4));
+        _mm512_storeu_si512(out + i * 8, _mm512_add_epi64(x, carry));
+        carry = _mm512_add_epi64(carry, _mm512_permutexvar_epi64(last, x));
+    }
+    ZigzagScanTail<uint64_t>(in, i, n, out);
 }
 
 }  // namespace
@@ -210,6 +266,7 @@ Avx512Kernels()
         detail::NonzeroScatterAvx512,  detail::DiffScanAvx512,
         detail::DiffExpandScalar,      detail::TopBitmap64Avx512,
         detail::MatchBitmap64Avx512,   detail::FcmHashAvx512,
+        detail::ZigzagScan32Avx512,    detail::ZigzagScan64Avx512,
     };
     return table;
 }

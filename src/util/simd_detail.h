@@ -15,8 +15,37 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+
+#include "util/bitpack.h"
 
 namespace fpc::simd::detail {
+
+/** Unaligned little-endian 64-bit word @p i of @p p. */
+inline uint64_t
+Word64At(const std::byte* p, size_t i)
+{
+    uint64_t v;
+    std::memcpy(&v, p + i * 8, 8);
+    return v;
+}
+
+/** Finish a DIFFMS decode scan from word @p i on: the whole scalar
+ *  reference (i = 0), and every vector kernel's tail after its last
+ *  full vector, which reads the running sum back from out[i - 1]. */
+template <typename T>
+inline void
+ZigzagScanTail(const std::byte* in, size_t i, size_t n, std::byte* out)
+{
+    T sum = 0;
+    if (i != 0) std::memcpy(&sum, out + (i - 1) * sizeof(T), sizeof(T));
+    for (; i < n; ++i) {
+        T z;
+        std::memcpy(&z, in + i * sizeof(T), sizeof(T));
+        sum = static_cast<T>(sum + ZigzagDecode(z));  // modulo 2^w
+        std::memcpy(out + i * sizeof(T), &sum, sizeof(T));
+    }
+}
 
 // Reference kernels (simd_scalar.cc) — the semantics every vector
 // kernel must reproduce byte for byte.
@@ -33,7 +62,9 @@ size_t TopBitmap64Scalar(const std::byte* in, size_t nw, unsigned k,
                          std::byte* bitmap);
 size_t MatchBitmap64Scalar(const std::byte* in, size_t nw, unsigned k,
                            std::byte* bitmap);
-void FcmHashScalar(const uint64_t* values, size_t n, uint64_t* hashes);
+void FcmHashScalar(const std::byte* values, size_t n, uint64_t* hashes);
+void ZigzagScan32Scalar(const std::byte* in, size_t n, std::byte* out);
+void ZigzagScan64Scalar(const std::byte* in, size_t n, std::byte* out);
 
 // AVX2 entries reused by the AVX-512 table (simd_avx2.cc is always
 // compiled when simd_avx512.cc is; see src/CMakeLists.txt).

@@ -15,18 +15,6 @@
 
 namespace fpc::simd::detail {
 
-namespace {
-
-uint64_t
-Word64At(const std::byte* in, size_t i)
-{
-    uint64_t v;
-    std::memcpy(&v, in + i * 8, 8);
-    return v;
-}
-
-}  // namespace
-
 void
 TransposeScalar(uint32_t m[32])
 {
@@ -156,7 +144,7 @@ MatchBitmap64Scalar(const std::byte* in, size_t nw, unsigned k,
 }
 
 void
-FcmHashScalar(const uint64_t* values, size_t n, uint64_t* hashes)
+FcmHashScalar(const std::byte* values, size_t n, uint64_t* hashes)
 {
     uint64_t v1 = 0;
     uint64_t v2 = 0;
@@ -165,8 +153,20 @@ FcmHashScalar(const uint64_t* values, size_t n, uint64_t* hashes)
         hashes[i] = FcmContextHash(v1, v2, v3);
         v3 = v2;
         v2 = v1;
-        v1 = values[i];
+        v1 = Word64At(values, i);
     }
+}
+
+void
+ZigzagScan32Scalar(const std::byte* in, size_t n, std::byte* out)
+{
+    ZigzagScanTail<uint32_t>(in, 0, n, out);
+}
+
+void
+ZigzagScan64Scalar(const std::byte* in, size_t n, std::byte* out)
+{
+    ZigzagScanTail<uint64_t>(in, 0, n, out);
 }
 
 }  // namespace fpc::simd::detail
@@ -181,6 +181,7 @@ ScalarKernels()
         detail::NonzeroScatterScalar, detail::DiffScanScalar,
         detail::DiffExpandScalar,    detail::TopBitmap64Scalar,
         detail::MatchBitmap64Scalar, detail::FcmHashScalar,
+        detail::ZigzagScan32Scalar,  detail::ZigzagScan64Scalar,
     };
     return table;
 }

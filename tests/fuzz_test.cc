@@ -8,6 +8,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/codec.h"
 #include "transforms/bitmap_codec.h"
 #include "transforms/transforms.h"
@@ -294,6 +296,249 @@ TEST(FuzzTransformDecoders, RareRazeFcmSurviveMutationSweep)
                           ByteSpan(input));
     SweepTransformDecoder("FCM", tf::FcmEncode, tf::FcmDecode,
                           ByteSpan(input));
+}
+
+/** One real 16 KiB chunk of the kind the pipelines see: a smooth float
+ *  walk (@p dp false) or a double walk with exact repeats, so FCM finds
+ *  matches. */
+Bytes
+SmoothChunk(bool dp, uint64_t seed)
+{
+    Rng rng(seed);
+    Bytes chunk(kChunkSize);
+    double x = rng.NextGaussian();
+    const size_t word = dp ? 8 : 4;
+    for (size_t i = 0; i + word <= chunk.size(); i += word) {
+        if (dp && i % 256 == 0 && i >= 1024 && rng.NextBelow(3) == 0) {
+            // Replay an earlier 32-word run: its words repeat with the
+            // same three-word contexts, so FCM matches them.
+            const size_t from = 256 * rng.NextBelow(i / 256);
+            std::memcpy(chunk.data() + i, chunk.data() + from, 256);
+            i += 256 - word;
+            continue;
+        }
+        x += 0.01 * rng.NextGaussian();
+        if (dp) {
+            std::memcpy(chunk.data() + i, &x, 8);
+        } else {
+            const float f = static_cast<float>(x);
+            std::memcpy(chunk.data() + i, &f, 4);
+        }
+    }
+    return chunk;
+}
+
+/** A stage decoder under test: decodes a whole payload or throws. */
+using StageDecodeFn = std::function<Bytes(ByteSpan)>;
+
+/** How a damaged payload that decodes without error is judged. */
+enum class Undetected {
+    kNever,    ///< it must decode to exactly the original
+    kInBounds  ///< it may differ, within the decode budget
+};
+
+/** Decode @p payload, whose buffer is sized exactly (so a sanitizer
+ *  build sees any read past it): a typed CorruptStreamError passes, and
+ *  so does a decode allowed by @p undetected. Any other exception fails
+ *  the test. */
+void
+ExpectTyped(const StageDecodeFn& decode, const Bytes& payload,
+            const Bytes& original, Undetected undetected,
+            const std::string& what)
+{
+    Bytes out;
+    try {
+        out = decode(ByteSpan(payload));
+    } catch (const CorruptStreamError&) {
+        return;
+    }
+    if (undetected == Undetected::kNever) {
+        EXPECT_TRUE(out == original) << what << " decoded to different bytes";
+    } else {
+        EXPECT_LE(out.size(), original.size() + kChunkDecodeSlack) << what;
+    }
+}
+
+/**
+ * The sweep every decoder with an unchecked inner loop gets: the intact
+ * payload round trips; every truncation throws CorruptStreamError; and
+ * every value of each of the eight size-field bytes gives a typed error
+ * or, per @p undetected, the exact original (only the encoded value can
+ * give it) or an in-budget decode.
+ */
+void
+SweepStageDecoder(const char* name, const StageDecodeFn& decode,
+                  const Bytes& coded, const Bytes& original,
+                  Undetected undetected = Undetected::kNever)
+{
+    ASSERT_EQ(decode(ByteSpan(coded)), original) << name;
+    for (size_t len = 0; len < coded.size(); ++len) {
+        const Bytes cut(coded.begin(),
+                        coded.begin() + static_cast<ptrdiff_t>(len));
+        EXPECT_THROW((void)decode(ByteSpan(cut)), CorruptStreamError)
+            << name << " truncated to " << len << " bytes";
+    }
+    Bytes damaged = coded;
+    for (size_t pos = 0; pos < sizeof(uint64_t); ++pos) {
+        for (unsigned v = 0; v < 256; ++v) {
+            damaged[pos] = static_cast<std::byte>(v);
+            ExpectTyped(decode, damaged, original, undetected,
+                        std::string(name) + " size byte " +
+                            std::to_string(pos) + " = " + std::to_string(v));
+        }
+        damaged[pos] = coded[pos];
+    }
+}
+
+/** An arena with the decode budget DecodeChunk sets for @p original. */
+struct ChunkArena {
+    explicit ChunkArena(const Bytes& original)
+    {
+        arena.SetDecodeBudget(original.size() + kChunkDecodeSlack);
+    }
+    ScratchArena arena;
+};
+
+TEST(FuzzStageDecoders, DiffmsAndBitRejectTruncationAndSizeBytesTyped)
+{
+    for (const bool dp : {false, true}) {
+        const Bytes chunk = SmoothChunk(dp, dp ? 71 : 70);
+        ChunkArena scratch(chunk);
+        Bytes diffms;
+        if (dp) {
+            tf::DiffmsEncode64(ByteSpan(chunk), diffms, scratch.arena);
+        } else {
+            tf::DiffmsEncode32(ByteSpan(chunk), diffms, scratch.arena);
+        }
+        SweepStageDecoder(
+            dp ? "DIFFMS64 into" : "DIFFMS32 into",
+            [&](ByteSpan in) {
+                Bytes out(chunk.size());
+                if (dp) {
+                    tf::DiffmsDecodeInto64(in, std::span<std::byte>(out),
+                                           scratch.arena);
+                } else {
+                    tf::DiffmsDecodeInto32(in, std::span<std::byte>(out),
+                                           scratch.arena);
+                }
+                return out;
+            },
+            diffms, chunk);
+        if (dp) continue;
+
+        // BIT32 on the pipeline's own input (DIFFMS output: 4098 words,
+        // the blocked shape) and on a whole number of 32-word blocks.
+        const Bytes* inputs[] = {&diffms, &chunk};
+        for (const Bytes* input : inputs) {
+            ChunkArena bit_scratch(*input);
+            Bytes bit;
+            tf::BitEncode32(ByteSpan(*input), bit, bit_scratch.arena);
+            SweepStageDecoder(
+                input == &diffms ? "BIT32 blocked" : "BIT32 aligned",
+                [&](ByteSpan in) {
+                    Bytes out;
+                    tf::BitDecode32(in, out, bit_scratch.arena);
+                    return out;
+                },
+                bit, *input);
+        }
+    }
+}
+
+TEST(FuzzStageDecoders, MplgRejectsTruncationAndEveryWidthTyped)
+{
+    for (const bool dp : {false, true}) {
+        const Bytes chunk = SmoothChunk(dp, dp ? 73 : 72);
+        Bytes diffms;
+        if (dp) {
+            tf::DiffmsEncode64(ByteSpan(chunk), diffms);
+        } else {
+            tf::DiffmsEncode32(ByteSpan(chunk), diffms);
+        }
+        ChunkArena scratch(diffms);
+        Bytes coded;
+        if (dp) {
+            tf::MplgEncode64(ByteSpan(diffms), coded, scratch.arena);
+        } else {
+            tf::MplgEncode32(ByteSpan(diffms), coded, scratch.arena);
+        }
+        const char* name = dp ? "MPLG64" : "MPLG32";
+        const StageDecodeFn decode = [&](ByteSpan in) {
+            Bytes out;
+            if (dp) {
+                tf::MplgDecode64(in, out, scratch.arena);
+            } else {
+                tf::MplgDecode32(in, out, scratch.arena);
+            }
+            return out;
+        };
+        // A smaller size field can drop the last word into the verbatim
+        // tail while the packed stream shrinks by exactly the tail's
+        // bytes (a 16-bit width and a 2-byte tail): no stage check can
+        // see that, the container checksum does. So here a size byte
+        // must give a typed error or an in-budget decode.
+        SweepStageDecoder(name, decode, coded, diffms, Undetected::kInBounds);
+
+        // Every width value (the low seven bits) of every subchunk
+        // header, the enhancement flag kept. A full subchunk's width
+        // moves the packed size by whole bytes, so any other width is a
+        // typed size error. The last subchunk holds few words, and a
+        // width change there can leave the packed byte count unchanged,
+        // so there the decode need only stay in budget.
+        const size_t word = dp ? 8 : 4;
+        const size_t nw = diffms.size() / word;
+        const size_t per_sub = kSubchunkSize / word;
+        const size_t n_sub = (nw + per_sub - 1) / per_sub;
+        ASSERT_NE(nw % per_sub, 0u) << "the sweep wants a partial subchunk";
+        Bytes damaged = coded;
+        for (size_t s = 0; s < n_sub; ++s) {
+            const size_t pos = sizeof(uint64_t) + s;
+            const auto orig = static_cast<uint8_t>(coded[pos]);
+            for (unsigned width = 0; width < 128; ++width) {
+                damaged[pos] = static_cast<std::byte>((orig & 0x80u) | width);
+                const std::string what = std::string(name) + " subchunk " +
+                                         std::to_string(s) + " width " +
+                                         std::to_string(width);
+                ExpectTyped(decode, damaged, diffms,
+                            s + 1 < n_sub ? Undetected::kNever
+                                          : Undetected::kInBounds,
+                            what);
+            }
+            damaged[pos] = coded[pos];
+        }
+    }
+}
+
+TEST(FuzzStageDecoders, FcmDecodeIntoRejectsTruncationSizeAndDistanceTyped)
+{
+    const Bytes chunk = SmoothChunk(true, 74);
+    Bytes coded;
+    tf::FcmEncode(ByteSpan(chunk), coded);
+    ScratchArena arena;
+    const StageDecodeFn decode = [&](ByteSpan in) {
+        Bytes out(chunk.size());
+        tf::FcmDecodeInto(in, std::span<std::byte>(out), arena);
+        return out;
+    };
+    SweepStageDecoder("FCM into", decode, coded, chunk);
+
+    // A distance past its own index points before the data: typed.
+    const size_t n = chunk.size() / 8;
+    size_t matches = 0;
+    Bytes damaged = coded;
+    for (size_t i = 0; i < n; ++i) {
+        const size_t pos = sizeof(uint64_t) + (n + i) * sizeof(uint64_t);
+        uint64_t d;
+        std::memcpy(&d, coded.data() + pos, sizeof d);
+        matches += d != 0 ? 1 : 0;
+        for (const uint64_t bad : {uint64_t{i + 1}, ~uint64_t{0}}) {
+            std::memcpy(damaged.data() + pos, &bad, sizeof bad);
+            EXPECT_THROW((void)decode(ByteSpan(damaged)), CorruptStreamError)
+                << "distance " << bad << " at word " << i;
+        }
+        std::memcpy(damaged.data() + pos, coded.data() + pos, sizeof d);
+    }
+    EXPECT_GT(matches, n / 8) << "the chunk should exercise FCM matches";
 }
 
 TEST(FuzzBitmapCodec, DecoderSurvivesMutationSweep)

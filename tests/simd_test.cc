@@ -20,6 +20,7 @@
 
 #include "core/codec.h"
 #include "core/executor.h"
+#include "util/bitpack.h"
 #include "util/hash.h"
 #include "util/simd.h"
 
@@ -229,8 +230,12 @@ TEST(SimdKernels, FcmHashMatchesScalar)
                      size_t{100}, size_t{2048}, size_t{2051}}) {
         std::vector<uint64_t> values(n);
         for (auto& v : values) v = rng.Next();
+        // Read from an odd offset: the kernels take unaligned words.
+        Bytes packed(n * 8 + 1);
+        if (n != 0) std::memcpy(packed.data() + 1, values.data(), n * 8);
+        const std::byte* words = packed.data() + 1;
         std::vector<uint64_t> reference(n);
-        simd::ScalarKernels().fcm_hash(values.data(), n, reference.data());
+        simd::ScalarKernels().fcm_hash(words, n, reference.data());
         for (size_t i = 0; i < n; ++i) {
             ASSERT_EQ(reference[i],
                       FcmContextHash(i >= 1 ? values[i - 1] : 0,
@@ -240,11 +245,64 @@ TEST(SimdKernels, FcmHashMatchesScalar)
         for (Isa isa : kAllLevels) {
             if (!simd::IsaAvailable(isa)) continue;
             std::vector<uint64_t> hashes(n);
-            simd::Kernels(isa).fcm_hash(values.data(), n, hashes.data());
+            simd::Kernels(isa).fcm_hash(words, n, hashes.data());
             EXPECT_EQ(hashes, reference)
                 << simd::IsaName(isa) << " n=" << n;
         }
     }
+}
+
+/** zigzag_scan32/64 at every compiled level against the scalar table
+ *  and against the definition, on deltas that wrap mod 2^w, read from
+ *  and written to odd (unaligned) offsets. */
+template <typename T>
+void
+CheckZigzagScan(void (*simd::KernelTable::*kernel)(const std::byte*, size_t,
+                                                   std::byte*))
+{
+    Rng rng(sizeof(T) == 4 ? 0x66 : 0x77);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{15},
+                     size_t{16}, size_t{17}, size_t{4098}}) {
+        Bytes in(n * sizeof(T) + 1);
+        for (size_t i = 0; i < n; ++i) {
+            // Mostly full-range codes (sums wrap mod 2^w), with runs of
+            // small deltas and the two extreme codes.
+            T z = static_cast<T>(rng.Next());
+            switch (rng.NextBelow(4)) {
+              case 0: z = static_cast<T>(rng.NextBelow(16)); break;
+              case 1: z = static_cast<T>(~T{0} - rng.NextBelow(2)); break;
+              default: break;
+            }
+            std::memcpy(in.data() + 1 + i * sizeof(T), &z, sizeof(T));
+        }
+        Bytes reference(n * sizeof(T) + 1);
+        (simd::ScalarKernels().*kernel)(in.data() + 1, n,
+                                        reference.data() + 1);
+        T sum = 0;
+        for (size_t i = 0; i < n; ++i) {
+            T z;
+            T got;
+            std::memcpy(&z, in.data() + 1 + i * sizeof(T), sizeof(T));
+            std::memcpy(&got, reference.data() + 1 + i * sizeof(T),
+                        sizeof(T));
+            sum = static_cast<T>(sum + ZigzagDecode(z));
+            ASSERT_EQ(got, sum) << "scalar scan diverged at " << i;
+        }
+        for (Isa isa : kAllLevels) {
+            if (!simd::IsaAvailable(isa)) continue;
+            Bytes out(n * sizeof(T) + 1);
+            (simd::Kernels(isa).*kernel)(in.data() + 1, n, out.data() + 1);
+            EXPECT_EQ(out, reference)
+                << simd::IsaName(isa) << " w=" << sizeof(T) * 8
+                << " n=" << n;
+        }
+    }
+}
+
+TEST(SimdKernels, ZigzagScansMatchScalar)
+{
+    CheckZigzagScan<uint32_t>(&simd::KernelTable::zigzag_scan32);
+    CheckZigzagScan<uint64_t>(&simd::KernelTable::zigzag_scan64);
 }
 
 TEST(SimdKernels, PopcountBitsMatchesNaive)
