@@ -75,7 +75,7 @@ Fingerprint(const SeekConfig& config)
                   config.backend.c_str(), workers.c_str());
     char hex[32];
     std::snprintf(hex, sizeof(hex), "%016" PRIx64,
-                  Checksum64(AsBytes(std::span<const char>(
+                  Fnv1a64(AsBytes(std::span<const char>(
                       key, std::char_traits<char>::length(key)))));
     return hex;
 }

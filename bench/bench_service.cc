@@ -85,7 +85,7 @@ Fingerprint(const ServiceBenchConfig& config)
                   config.socket.empty() ? "inproc" : "socket");
     char hex[32];
     std::snprintf(hex, sizeof(hex), "%016" PRIx64,
-                  Checksum64(AsBytes(std::span<const char>(
+                  Fnv1a64(AsBytes(std::span<const char>(
                       key, std::char_traits<char>::length(key)))));
     return hex;
 }

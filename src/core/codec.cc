@@ -43,9 +43,8 @@ HeaderAlgorithm(ByteSpan compressed)
 {
     try {
         const ContainerHeader h = ParseContainer(compressed).header;
-        return HeaderContext{
-            static_cast<Algorithm>(h.algorithm),
-            h.version == ContainerHeader::kVersionAdaptive};
+        return HeaderContext{static_cast<Algorithm>(h.algorithm),
+                             h.Adaptive()};
     } catch (...) {
         return std::nullopt;
     }
@@ -262,9 +261,7 @@ DecompressRange(const ByteSource& source, uint64_t first_value,
                     frame.element_count * frame_word,
                 "seek index disagrees with frame header", "seek-index",
                 static_cast<size_t>(frame.frame_offset));
-            run_context = HeaderContext{
-                algorithm, prefix.header.version ==
-                               ContainerHeader::kVersionAdaptive};
+            run_context = HeaderContext{algorithm, prefix.header.Adaptive()};
 
             // Frame-local element range covered by [first, first+count).
             const uint64_t frame_first =
@@ -418,8 +415,7 @@ Inspect(ByteSpan compressed)
     info.chunk_sizes = std::move(view.chunk_sizes);
     info.chunk_raw = std::move(view.chunk_raw);
     for (uint8_t raw : info.chunk_raw) info.raw_chunks += raw;
-    info.adaptive =
-        view.header.version == ContainerHeader::kVersionAdaptive;
+    info.adaptive = view.header.Adaptive();
     info.chunk_algorithms = std::move(view.chunk_algorithms);
     for (uint8_t id : info.chunk_algorithms) ++info.algorithm_chunks[id];
     info.ratio = compressed.empty()

@@ -58,7 +58,7 @@ void DecompressInto(ByteSpan compressed, std::span<std::byte> out,
 
 /** User intent for the typed helpers: throughput, compression ratio, or
  *  per-chunk adaptive selection (kAuto probes every 16 KiB chunk and
- *  records the winning pipeline in a version-3 container; the element
+ *  records the winning pipeline in an adaptive container; the element
  *  type then only fixes the word width). */
 enum class Mode : uint8_t { kSpeed, kRatio, kAuto };
 
@@ -105,10 +105,12 @@ struct CompressedInfo {
     double ratio = 0.0;             ///< original / compressed
     std::vector<uint32_t> chunk_sizes;  ///< stored payload bytes per chunk
     std::vector<uint8_t> chunk_raw;     ///< 1 = chunk stored verbatim
-    /** True for a version-3 (mode=auto) container; `algorithm` then names
-     *  the width representative, not every chunk's pipeline. */
+    /** True for an adaptive (mode=auto, v5 or v3) container;
+     *  `algorithm` then names the width representative, not every
+     *  chunk's pipeline. */
     bool adaptive = false;
-    /** Per-chunk algorithm ids of an adaptive container (empty for v1). */
+    /** Per-chunk algorithm ids of an adaptive container (empty for a
+     *  fixed one). */
     std::vector<uint8_t> chunk_algorithms;
     /** Chunks per algorithm id, counted over chunk_algorithms. */
     std::array<uint32_t, 4> algorithm_chunks{};

@@ -11,9 +11,9 @@ namespace fpc {
 namespace {
 
 constexpr uint32_t kRawFlag = 0x80000000u;
-// v3 chunk-table entries carry the per-chunk algorithm id in bits
+// Adaptive chunk-table entries carry the per-chunk algorithm id in bits
 // 29..30; the payload size then occupies bits 0..28 (a chunk payload is
-// at most kChunkSize bytes, far below 2^29). v1 entries keep the full
+// at most kChunkSize bytes, far below 2^29). Fixed entries keep the full
 // 31-bit size field.
 constexpr unsigned kAlgoShift = 29;
 constexpr uint32_t kAlgoMask = 0x3u << kAlgoShift;
@@ -32,14 +32,16 @@ ParseHeaderBytes(ByteSpan bytes, const char* stage, size_t base)
                        stage, base);
     h.version = br.GetU8();
     FPC_PARSE_CHECK_AT(h.version == ContainerHeader::kVersion ||
-                           h.version == ContainerHeader::kVersionAdaptive,
+                           h.version == ContainerHeader::kVersionAdaptive ||
+                           h.FnvChecksum(),
                        "unsupported version", stage, base + 4);
     h.algorithm = br.GetU8();
     FPC_PARSE_CHECK_AT(h.algorithm <= 3, "unknown algorithm id", stage,
                        base + 5);
-    // v3 headers carry only a width-fixing representative; both legal
-    // values are pre-stage-free, so the per-chunk decode drivers apply.
-    FPC_PARSE_CHECK_AT(h.version != ContainerHeader::kVersionAdaptive ||
+    // Adaptive headers carry only a width-fixing representative; both
+    // legal values are pre-stage-free, so the per-chunk decode drivers
+    // apply.
+    FPC_PARSE_CHECK_AT(!h.Adaptive() ||
                            h.algorithm == 0 || h.algorithm == 2,
                        "invalid adaptive representative algorithm", stage,
                        base + 5);
@@ -48,8 +50,7 @@ ParseHeaderBytes(ByteSpan bytes, const char* stage, size_t base)
     h.transformed_size = br.Get<uint64_t>();
     h.checksum = br.Get<uint64_t>();
     h.chunk_count = br.Get<uint32_t>();
-    FPC_PARSE_CHECK_AT(h.version != ContainerHeader::kVersionAdaptive ||
-                           h.transformed_size == h.original_size,
+    FPC_PARSE_CHECK_AT(!h.Adaptive() || h.transformed_size == h.original_size,
                        "adaptive container with a pre-stage", stage,
                        base + 16);
 
@@ -79,8 +80,7 @@ WriteContainerPrefix(const ContainerHeader& header,
 {
     FPC_CHECK(sizes.size() == raw_flags.size(), "chunk table mismatch");
     FPC_CHECK(sizes.size() == header.chunk_count, "chunk count mismatch");
-    const bool adaptive =
-        header.version == ContainerHeader::kVersionAdaptive;
+    const bool adaptive = header.Adaptive();
     FPC_CHECK(adaptive ? algorithm_ids.size() == sizes.size()
                        : algorithm_ids.empty(),
               "algorithm id table mismatch");
@@ -135,7 +135,7 @@ ParseContainer(ByteSpan compressed)
     FPC_PARSE_CHECK_AT(h.chunk_count <= br.Remaining() / sizeof(uint32_t),
                        "chunk table exceeds buffer", kStage, 32);
 
-    const bool adaptive = h.version == ContainerHeader::kVersionAdaptive;
+    const bool adaptive = h.Adaptive();
     view.chunk_sizes.resize(h.chunk_count);
     view.chunk_raw.resize(h.chunk_count);
     view.chunk_offsets.resize(h.chunk_count);
@@ -199,7 +199,7 @@ ParseContainerPrefix(const ByteSource& source, uint64_t container_start,
     Bytes table(size_t{h.chunk_count} * sizeof(uint32_t));
     source.ReadAt(container_start + header_size, table);
     ByteReader br(table, kStage);
-    const bool adaptive = h.version == ContainerHeader::kVersionAdaptive;
+    const bool adaptive = h.Adaptive();
     prefix.chunk_sizes.resize(h.chunk_count);
     prefix.chunk_raw.resize(h.chunk_count);
     prefix.chunk_offsets.resize(h.chunk_count);
@@ -275,7 +275,7 @@ AppendSeekIndex(const std::vector<SeekIndexEntry>& frames, Bytes& out)
     }
     AppendBytes(out, entries);
     ByteWriter fw(out);
-    fw.Put<uint64_t>(Checksum64(entries));
+    fw.Put<uint64_t>(Fnv1a64(entries));
     fw.Put<uint64_t>(frames.size());
     fw.Put<uint64_t>(entries.size());
     fw.Put<uint32_t>(SeekIndex::kIndexVersion);
@@ -315,7 +315,7 @@ TryParseSeekIndex(const ByteSource& source)
     index.index_offset = footer_offset - index_size;
     Bytes entries(static_cast<size_t>(index_size));
     source.ReadAt(index.index_offset, entries);
-    FPC_PARSE_CHECK_AT(Checksum64(entries) == checksum,
+    FPC_PARSE_CHECK_AT(Fnv1a64(entries) == checksum,
                        "seek-index checksum mismatch", kStage,
                        static_cast<size_t>(index.index_offset));
 

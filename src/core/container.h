@@ -11,11 +11,11 @@
  * equal to `original_size` for SPspeed/SPratio/DPspeed, and the FCM
  * output size for DPratio (whose pre-stage runs before chunking).
  *
- * ## Container v3: per-chunk algorithm ids (adaptive selection)
+ * ## Container v3/v5: per-chunk algorithm ids (adaptive selection)
  *
- * A version-3 container has the same byte layout as v1; the per-chunk
- * algorithm id rides in bits 29..30 of each chunk-table entry (chunk
- * payloads never exceed 16 KiB + slop, so the size needs only bits
+ * An adaptive container has the same byte layout as a fixed one; the
+ * per-chunk algorithm id rides in bits 29..30 of each chunk-table entry
+ * (chunk payloads never exceed 16 KiB + slop, so the size needs only bits
  * 0..28). The id names the Algorithm that encoded each chunk — DPratio
  * chunks use the *chunked* DPratio pipeline, whose FCM stage runs per
  * chunk, never whole-input. Packing the ids into spare bits makes the
@@ -26,11 +26,20 @@
  * `header.algorithm` then holds only a *representative* id fixing the
  * element width (kSPspeed for 4-byte elements, kDPspeed for 8-byte) —
  * both are pre-stage-free, so `transformed_size == original_size`
- * always holds for v3 and every existing pre-stage-free decode driver
- * applies, including chunk-ranged reads. Fixed-algorithm encodes keep
- * emitting version-1 bytes unchanged (the golden checksums pin them);
- * only `mode=auto` produces v3. Version byte 2 is deliberately skipped:
- * "v2" names the seekable *file* format below, not a container layout.
+ * always holds for adaptive containers and every existing pre-stage-free
+ * decode driver applies, including chunk-ranged reads. Version byte 2
+ * is deliberately skipped: "v2" names the seekable *file* format below,
+ * not a container layout.
+ *
+ * ## Container v4/v5: the chunk-laned content checksum
+ *
+ * The library writes version 4 (fixed algorithm) and version 5
+ * (adaptive). Their payloads and chunk tables are byte for byte those
+ * of versions 1 and 3; only the version byte and the header checksum
+ * differ. The checksum is Checksum64 (util/hash.h): one ChecksumBlock
+ * per 16 KiB block of the original data, combined in block order, so
+ * the worker that encodes or decodes a chunk also hashes it. Versions 1
+ * and 3 store Fnv1a64, the earlier serial hash, and stay readable.
  *
  * Compressed data is contiguous (paper Section 5: unlike nvCOMP, our
  * compressors concatenate the chunks into one memory block).
@@ -45,7 +54,7 @@
  *
  *   entries: frame_count x 32-byte little-endian SeekIndexEntry
  *            {frame_offset, frame_size, element_count, element_prefix}
- *   footer:  32 bytes at EOF — {index_checksum (Checksum64 over the
+ *   footer:  32 bytes at EOF — {index_checksum (Fnv1a64 over the
  *            entries block), frame_count, index_size, index_version u32,
  *            footer_magic u32 "FPCX"}
  *
@@ -73,10 +82,27 @@ namespace fpc {
 /** On-the-wire container header. */
 struct ContainerHeader {
     static constexpr uint32_t kMagic = 0x5a435046;  // "FPCZ"
-    static constexpr uint8_t kVersion = 1;
+    /** Fixed-algorithm container with the chunk-laned Checksum64. */
+    static constexpr uint8_t kVersion = 4;
     /** Mixed-algorithm container with a per-chunk id table (see the
-     *  file comment); 2 is skipped — it names the seekable file format. */
-    static constexpr uint8_t kVersionAdaptive = 3;
+     *  file comment) and the chunk-laned Checksum64. */
+    static constexpr uint8_t kVersionAdaptive = 5;
+    /** Read-only predecessors of kVersion and kVersionAdaptive: the same
+     *  layouts, with an Fnv1a64 content checksum. 2 is skipped — it
+     *  names the seekable file format. */
+    static constexpr uint8_t kVersionFnv = 1;
+    static constexpr uint8_t kVersionAdaptiveFnv = 3;
+
+    /** True for a mode=auto container (per-chunk algorithm ids). */
+    bool Adaptive() const
+    {
+        return version == kVersionAdaptive || version == kVersionAdaptiveFnv;
+    }
+    /** True when `checksum` is Fnv1a64 rather than Checksum64. */
+    bool FnvChecksum() const
+    {
+        return version == kVersionFnv || version == kVersionAdaptiveFnv;
+    }
 
     uint32_t magic = kMagic;
     uint8_t version = kVersion;
@@ -84,7 +110,7 @@ struct ContainerHeader {
     uint16_t reserved = 0;
     uint64_t original_size = 0;
     uint64_t transformed_size = 0;
-    uint64_t checksum = 0;  ///< Checksum64 of the original data
+    uint64_t checksum = 0;  ///< content checksum of the original data
     uint32_t chunk_count = 0;
 };
 
@@ -94,22 +120,22 @@ struct ContainerView {
     std::vector<uint32_t> chunk_sizes;   ///< payload bytes per chunk
     std::vector<uint8_t> chunk_raw;      ///< 1 = stored verbatim
     std::vector<size_t> chunk_offsets;   ///< into the payload area
-    /** v3 only: the Algorithm id per chunk. Empty for v1 containers —
-     *  every chunk then uses header.algorithm. */
+    /** Adaptive containers only: the Algorithm id per chunk. Empty for
+     *  fixed containers — every chunk then uses header.algorithm. */
     std::vector<uint8_t> chunk_algorithms;
     ByteSpan payload;                    ///< all chunk payloads
 };
 
-/** Serialize the header + chunk table. For version kVersionAdaptive,
+/** Serialize the header + chunk table. For an adaptive header,
  *  @p algorithm_ids must hold chunk_count entries — each is packed into
- *  bits 29..30 of its chunk-table entry; it must be empty for v1. */
+ *  bits 29..30 of its chunk-table entry; it must be empty otherwise. */
 void WriteContainerPrefix(const ContainerHeader& header,
                           const std::vector<uint32_t>& sizes,
                           const std::vector<uint8_t>& raw_flags,
                           const std::vector<uint8_t>& algorithm_ids,
                           Bytes& out);
 
-/** v1 convenience overload: no per-chunk algorithm id table. */
+/** Fixed-algorithm overload: no per-chunk algorithm id table. */
 void WriteContainerPrefix(const ContainerHeader& header,
                           const std::vector<uint32_t>& sizes,
                           const std::vector<uint8_t>& raw_flags, Bytes& out);
@@ -132,7 +158,7 @@ struct ContainerPrefix {
     std::vector<uint32_t> chunk_sizes;
     std::vector<uint8_t> chunk_raw;
     std::vector<size_t> chunk_offsets;
-    /** v3 only: per-chunk algorithm ids (empty for v1 containers). */
+    /** Adaptive containers only: per-chunk algorithm ids. */
     std::vector<uint8_t> chunk_algorithms;
     uint64_t payload_offset = 0;
     uint64_t payload_size = 0;

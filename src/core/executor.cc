@@ -12,7 +12,6 @@
 #include "core/orchestrate.h"
 #include "core/telemetry.h"
 #include "gpusim/launch.h"
-#include "util/hash.h"
 
 namespace fpc {
 
@@ -75,17 +74,13 @@ WorkerId()
 
 /**
  * The CPU chunk loop: @p threads workers claim chunk indices from one
- * shared atomic cursor and run @p chunk(worker, c) on each. Before every
- * claim, worker 0 first runs @p lane() — the content checksum lane
- * (DESIGN.md §3a) — so the serial hash overlaps the chunk work instead of
- * following it. Worker 0 leaves once the cursor is exhausted; it never
- * waits for the others. The first exception stops all claiming and is
- * returned once every worker has joined.
+ * shared atomic cursor and run @p chunk(worker, c) on each. The first
+ * exception stops all claiming and is returned once every worker has
+ * joined.
  */
-template <typename ChunkFn, typename LaneFn>
+template <typename ChunkFn>
 std::exception_ptr
-ClaimChunks(int threads, size_t n_chunks, const ChunkFn& chunk,
-            const LaneFn& lane)
+ClaimChunks(int threads, size_t n_chunks, const ChunkFn& chunk)
 {
     std::atomic<size_t> cursor{0};
     std::atomic<bool> failed{false};
@@ -97,7 +92,6 @@ ClaimChunks(int threads, size_t n_chunks, const ChunkFn& chunk,
         const auto worker = static_cast<uint32_t>(WorkerId());
         try {
             while (!failed.load(std::memory_order_relaxed)) {
-                if (worker == 0) lane();
                 const size_t c =
                     cursor.fetch_add(1, std::memory_order_relaxed);
                 if (c >= n_chunks) break;
@@ -118,19 +112,11 @@ ClaimChunks(int threads, size_t n_chunks, const ChunkFn& chunk,
     return first_error;
 }
 
-/** Worker @p arena's trace ring, nullptr when not tracing. */
-TraceRing*
-RingOf(ScratchArena& arena)
-{
-    TelemetryShard* shard = arena.Telemetry();
-    return shard != nullptr ? shard->trace : nullptr;
-}
-
 /**
  * The paper's CPU implementation: chunks claimed dynamically by OpenMP
- * threads (Options::threads), per-thread scratch arenas, the content
- * checksum folded on worker 0 alongside the chunk work, and the two-pass
- * prefix-sum container assembly from core/orchestrate.h.
+ * threads (Options::threads), per-thread scratch arenas, each chunk's
+ * block of the content checksum hashed by the worker that owns the chunk,
+ * and the two-pass prefix-sum container assembly from core/orchestrate.h.
  */
 class CpuExecutor final : public Executor {
  public:
@@ -167,10 +153,10 @@ class CpuExecutor final : public Executor {
 
         // Pass 1 (paper Section 3): chunks are dynamically claimed by
         // threads; each encodes into its worker's arena-retained buffer —
-        // no allocations per chunk once the arenas are warm. Worker 0
-        // hashes the input before its first claim.
+        // no allocations per chunk once the arenas are warm — and hashes
+        // its block of the input.
         const size_t n_chunks = ChunkCountOf(chunk_src.size());
-        EncodePlan plan(n_chunks);
+        EncodePlan plan(n_chunks, input.size());
         if (adaptive) plan.EnableAdaptive();
         ArenaLease lease =
             AcquireScratch(options.arenas, static_cast<size_t>(threads));
@@ -178,34 +164,18 @@ class CpuExecutor final : public Executor {
         for (ScratchArena& arena : arenas) arena.SetKernelIsa(isa);
         scope.HintChunks(n_chunks);
         scope.Attach(arenas);
-        uint64_t checksum = 0;
-        bool hashed = false;
-        const auto hash_input = [&] {
-            if (hashed) return;
-            hashed = true;
-            TraceRing* ring = RingOf(arenas[0]);
-            const uint64_t t0 = ring != nullptr ? TelemetryNowNs() : 0;
-            checksum = Checksum64(input);
-            if (ring != nullptr) {
-                ring->Record(TraceSpanKind::kChecksum, kTraceEncode, 0, 0,
-                             t0, TelemetryNowNs());
-            }
-        };
         const auto encode = [&](uint32_t worker, size_t c) {
-            EncodeChunkAt(spec, chunk_src, c, worker, arenas[worker],
+            EncodeChunkAt(spec, input, chunk_src, c, worker, arenas[worker],
                           &EncodeChunk, plan);
         };
         if (std::exception_ptr error =
-                ClaimChunks(threads, n_chunks, encode, hash_input)) {
+                ClaimChunks(threads, n_chunks, encode)) {
             scope.Finish(arenas);
             std::rethrow_exception(error);
         }
 
-        const ContainerHeader header =
-            adaptive ? MakeAdaptiveContainerHeader(algorithm, input.size(),
-                                                   checksum)
-                     : MakeContainerHeader(algorithm, input.size(),
-                                           chunk_src.size(), checksum);
+        const ContainerHeader header = MakeContainerHeader(
+            algorithm, chunk_src.size(), plan, scope.MainShard());
         const WritePositions wp = ComputeWritePositions(plan.sizes);
         Bytes out = AssembleContainer(header, plan, wp.offsets, wp.total,
                                       arenas, threads);
@@ -238,16 +208,13 @@ class CpuExecutor final : public Executor {
 
  private:
     /** Chunk decode hook: shared-cursor loop, one arena per worker, the
-     *  last pipeline stage writing straight into the chunk's slot. Given
-     *  a checksum cursor, each decoded chunk publishes a release flag and
-     *  worker 0 folds the longest ready in-order prefix before each of
-     *  its claims; RunDecompress folds whatever is left after the join. */
+     *  last pipeline stage writing straight into the chunk's slot, which
+     *  the same worker then hashes into @p block_hashes when given. */
     static DecodeChunksFn
     DecodeChunks(const Options& options)
     {
         return [options](const ContainerView& view, const PipelineSpec& spec,
-                         std::byte* dest, Checksum64Stream* checksum) {
-            const size_t transformed_size = view.header.transformed_size;
+                         std::byte* dest, uint64_t* block_hashes) {
             const size_t n_chunks = view.header.chunk_count;
             const int threads = EffectiveThreads(options);
             ArenaLease lease = AcquireScratch(options.arenas,
@@ -259,39 +226,12 @@ class CpuExecutor final : public Executor {
                                     static_cast<size_t>(threads));
             scope.HintChunks(n_chunks);
             scope.Attach(arenas);
-
-            std::vector<std::atomic<uint8_t>> ready(
-                checksum != nullptr ? n_chunks : 0);
-            size_t folded = 0;  // chunks [0, folded) are in *checksum
-            const auto fold_ready = [&] {
-                if (checksum == nullptr) return;
-                size_t end = folded;
-                while (end < n_chunks &&
-                       ready[end].load(std::memory_order_acquire) != 0) {
-                    ++end;
-                }
-                if (end == folded) return;
-                TraceRing* ring = RingOf(arenas[0]);
-                const uint64_t t0 = ring != nullptr ? TelemetryNowNs() : 0;
-                const size_t begin = folded * kChunkSize;
-                checksum->Update(ByteSpan(
-                    dest + begin,
-                    std::min(end * kChunkSize, transformed_size) - begin));
-                if (ring != nullptr) {
-                    ring->Record(TraceSpanKind::kChecksum, kTraceDecode, 0,
-                                 folded, t0, TelemetryNowNs());
-                }
-                folded = end;
-            };
             const auto decode = [&](uint32_t worker, size_t c) {
                 DecodeChunkAt(view, spec, c, dest, arenas[worker],
-                              &DecodeChunk);
-                if (checksum != nullptr) {
-                    ready[c].store(1, std::memory_order_release);
-                }
+                              &DecodeChunk, block_hashes);
             };
             const std::exception_ptr error =
-                ClaimChunks(threads, n_chunks, decode, fold_ready);
+                ClaimChunks(threads, n_chunks, decode);
             scope.Finish(arenas);
             if (error) RethrowAsCorrupt(error);
         };

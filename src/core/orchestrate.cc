@@ -1,6 +1,7 @@
 #include "core/orchestrate.h"
 
 #include <cstdint>
+#include <memory>
 
 #include "core/adaptive.h"
 #include "core/telemetry.h"
@@ -10,19 +11,6 @@
 
 namespace fpc {
 
-ContainerHeader
-MakeContainerHeader(Algorithm algorithm, size_t original_size,
-                    size_t transformed_size, uint64_t checksum)
-{
-    ContainerHeader header;
-    header.algorithm = static_cast<uint8_t>(algorithm);
-    header.original_size = original_size;
-    header.transformed_size = transformed_size;
-    header.checksum = checksum;
-    header.chunk_count = static_cast<uint32_t>(ChunkCountOf(transformed_size));
-    return header;
-}
-
 Algorithm
 AdaptiveRepresentative(Algorithm algorithm)
 {
@@ -31,13 +19,24 @@ AdaptiveRepresentative(Algorithm algorithm)
 }
 
 ContainerHeader
-MakeAdaptiveContainerHeader(Algorithm algorithm, size_t original_size,
-                            uint64_t checksum)
+MakeContainerHeader(Algorithm algorithm, size_t transformed_size,
+                    const EncodePlan& plan, TelemetryShard* shard)
 {
-    ContainerHeader header =
-        MakeContainerHeader(AdaptiveRepresentative(algorithm),
-                            original_size, original_size, checksum);
-    header.version = ContainerHeader::kVersionAdaptive;
+    ContainerHeader header;
+    if (plan.Adaptive()) {
+        header.version = ContainerHeader::kVersionAdaptive;
+        algorithm = AdaptiveRepresentative(algorithm);
+    }
+    header.algorithm = static_cast<uint8_t>(algorithm);
+    header.original_size = plan.input_size;
+    header.transformed_size = transformed_size;
+    header.chunk_count = static_cast<uint32_t>(ChunkCountOf(transformed_size));
+    const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
+    header.checksum = plan.InputChecksum();
+    if (shard != nullptr && shard->trace != nullptr) {
+        shard->trace->Record(TraceSpanKind::kChecksum, kTraceEncode, 0, 0,
+                             t0, TelemetryNowNs());
+    }
     return header;
 }
 
@@ -135,9 +134,9 @@ RecordPreStage(TelemetryShard& shard, uint8_t dir, StageId id,
 }  // namespace
 
 ChunkTimes
-EncodeChunkAt(const PipelineSpec& spec, ByteSpan chunk_src, size_t c,
-              uint32_t worker, ScratchArena& scratch, ChunkEncodeFn encode,
-              EncodePlan& plan)
+EncodeChunkAt(const PipelineSpec& spec, ByteSpan input, ByteSpan chunk_src,
+              size_t c, uint32_t worker, ScratchArena& scratch,
+              ChunkEncodeFn encode, EncodePlan& plan)
 {
     return TimeChunk(scratch, c, kTraceEncode, [&] {
         bool raw = false;
@@ -151,19 +150,25 @@ EncodeChunkAt(const PipelineSpec& spec, ByteSpan chunk_src, size_t c,
             payload = encode(spec, ChunkAt(chunk_src, c), raw, scratch);
         }
         plan.Record(c, worker, payload, raw, scratch);
+        if (c * kChunkSize < plan.input_size) {
+            plan.refs[c].input_hash = ChecksumBlock(ChunkAt(input, c));
+        }
     });
 }
 
 ChunkTimes
 DecodeChunkAt(const ContainerView& view, const PipelineSpec& spec, size_t c,
-              std::byte* dest, ScratchArena& scratch, ChunkDecodeFn decode)
+              std::byte* dest, ScratchArena& scratch, ChunkDecodeFn decode,
+              uint64_t* block_hashes)
 {
     return TimeChunk(scratch, c, kTraceDecode, [&] {
+        const std::span<std::byte> slot =
+            ChunkSlotAt(dest, view.header.transformed_size, c);
         decode(ChunkSpec(view, spec, c),
                view.payload.subspan(view.chunk_offsets[c],
                                     view.chunk_sizes[c]),
-               view.chunk_raw[c],
-               ChunkSlotAt(dest, view.header.transformed_size, c), scratch);
+               view.chunk_raw[c], slot, scratch);
+        if (block_hashes != nullptr) block_hashes[c] = ChecksumBlock(slot);
     });
 }
 
@@ -231,65 +236,85 @@ PreDecodeHook(Telemetry* sink, TraceSink* trace, simd::Isa isa)
 namespace {
 
 /**
- * The one content check: fold the part of @p out that @p sum has not
- * seen — all of it, unless an executor's checksum lane already folded a
- * prefix — then compare size and checksum with @p header. With @p trace
- * set, the fold is recorded as a worker-0 kChecksum span (it runs on the
- * orchestrating thread, after the chunk join).
+ * The one content check: compare @p out's size and content checksum with
+ * @p header. The checksum is @p block_hashes combined when the decode
+ * loop hashed the chunks it wrote (non-null); otherwise — a pre-stage
+ * ran, or the container stores the serial Fnv1a64 — the whole output is
+ * hashed here. With @p trace set, that step is recorded as a worker-0
+ * kChecksum span (it runs on the orchestrating thread, after the join).
  */
 void
 VerifyContent(const ContainerHeader& header, ByteSpan out,
-              Checksum64Stream& sum, TraceSink* trace)
+              const std::vector<uint64_t>* block_hashes, TraceSink* trace)
 {
     FPC_PARSE_CHECK(out.size() == header.original_size,
                     "decompressed size mismatch");
-    const size_t folded = sum.Folded();
     const uint64_t t0 = trace != nullptr ? TelemetryNowNs() : 0;
-    sum.Update(out.subspan(folded));
+    const uint64_t checksum =
+        header.FnvChecksum()     ? Fnv1a64(out)
+        : block_hashes != nullptr ? ChecksumCombine(*block_hashes, out.size())
+                                  : Checksum64(out);
     if (trace != nullptr) {
         TraceSpan span;
         span.start_ns = t0;
         span.dur_ns = TelemetryNowNs() - t0;
-        span.id = folded / kChunkSize;
         span.worker = 0;
         span.kind = TraceSpanKind::kChecksum;
         span.dir = kTraceDecode;
         trace->Record(span);
     }
-    FPC_PARSE_CHECK(sum.Finish() == header.checksum,
-                    "content checksum mismatch");
+    FPC_PARSE_CHECK(checksum == header.checksum, "content checksum mismatch");
 }
 
-/** FCM (the only pre-stage) always expands, so a valid container's
- *  declared original size never exceeds its transformed size. Checked
- *  before the output is sized, so a forged original_size cannot drive an
- *  allocation beyond the file-bounded transformed stream. */
-void
-CheckPreStageSizes(const ContainerHeader& header)
+/** @p header's pipeline, after checking its sizes against the pipeline's
+ *  shape — before any output is sized from the header. A pre-stage-free
+ *  stream is the output itself. FCM (the only pre-stage) always expands,
+ *  so a valid container's original size never exceeds its transformed
+ *  size, and a forged original_size cannot drive an allocation beyond
+ *  the file-bounded transformed stream. */
+const PipelineSpec&
+CheckedPipeline(const ContainerHeader& header)
 {
-    FPC_PARSE_CHECK_AT(header.original_size <= header.transformed_size,
-                       "original size exceeds transformed size", "container",
-                       8);
+    const PipelineSpec& spec =
+        GetPipeline(static_cast<Algorithm>(header.algorithm));
+    if (spec.pre.decode == nullptr) {
+        FPC_PARSE_CHECK(
+            header.transformed_size == header.original_size,
+            "transformed size mismatch for pre-stage-free algorithm");
+    } else {
+        FPC_PARSE_CHECK_AT(header.original_size <= header.transformed_size,
+                           "original size exceeds transformed size",
+                           "container", 8);
+    }
+    return spec;
 }
 
-/** Stage the transformed stream of a pre-stage container, decode its
- *  chunks into it, and run @p pre_decode into @p out (original_size
- *  bytes, after CheckPreStageSizes). */
+/** Decode @p view into @p out (exactly original_size bytes) and verify
+ *  its content. Without a whole-input stage the chunks decode straight
+ *  into @p out, each hashed as it lands when the checksum is
+ *  chunk-laned. With one, the chunks fill a transformed-stream buffer
+ *  that @p pre_decode restores into @p out; the buffer is left
+ *  uninitialised, since every chunk decode fills its slot or throws. */
 void
-DecodeThroughPreStage(const ContainerView& view, const PipelineSpec& spec,
-                      const DecodeChunksFn& decode_chunks,
-                      const PreDecodeFn& pre_decode, std::span<std::byte> out)
+DecodeVerified(const ContainerView& view, const PipelineSpec& spec,
+               std::span<std::byte> out, const DecodeChunksFn& decode_chunks,
+               const PreDecodeFn& pre_decode, TraceSink* trace)
 {
-    Bytes work(view.header.transformed_size);
-    decode_chunks(view, spec, work.data(), nullptr);
-    pre_decode(spec, ByteSpan(work), out);
-}
-
-void
-CheckPreStageFree(const ContainerHeader& header)
-{
-    FPC_PARSE_CHECK(header.transformed_size == header.original_size,
-                    "transformed size mismatch for pre-stage-free algorithm");
+    std::vector<uint64_t> block_hashes;
+    const bool laned =
+        spec.pre.decode == nullptr && !view.header.FnvChecksum();
+    if (spec.pre.decode == nullptr) {
+        if (laned) block_hashes.resize(view.header.chunk_count);
+        decode_chunks(view, spec, out.data(),
+                      laned ? block_hashes.data() : nullptr);
+    } else {
+        const size_t n = view.header.transformed_size;
+        const auto work = std::make_unique_for_overwrite<std::byte[]>(n);
+        decode_chunks(view, spec, work.get(), nullptr);
+        pre_decode(spec, ByteSpan(work.get(), n), out);
+    }
+    VerifyContent(view.header, ByteSpan(out.data(), out.size()),
+                  laned ? &block_hashes : nullptr, trace);
 }
 
 }  // namespace
@@ -298,24 +323,11 @@ Bytes
 RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
               const PreDecodeFn& pre_decode, TraceSink* trace)
 {
-    ContainerView view = ParseContainer(compressed);
-    const auto algorithm = static_cast<Algorithm>(view.header.algorithm);
-    const PipelineSpec& spec = GetPipeline(algorithm);
-    Checksum64Stream sum(view.header.original_size);
-    Bytes out;
-    if (spec.pre.decode == nullptr) {
-        // No whole-input stage: chunks decode straight into the result,
-        // which the executor may checksum as chunks land.
-        CheckPreStageFree(view.header);
-        out.resize(view.header.original_size);
-        decode_chunks(view, spec, out.data(), &sum);
-    } else {
-        CheckPreStageSizes(view.header);
-        out.resize(view.header.original_size);
-        DecodeThroughPreStage(view, spec, decode_chunks, pre_decode,
-                              std::span<std::byte>(out));
-    }
-    VerifyContent(view.header, ByteSpan(out), sum, trace);
+    const ContainerView view = ParseContainer(compressed);
+    const PipelineSpec& spec = CheckedPipeline(view.header);
+    Bytes out(view.header.original_size);
+    DecodeVerified(view, spec, std::span<std::byte>(out), decode_chunks,
+                   pre_decode, trace);
     return out;
 }
 
@@ -324,27 +336,14 @@ RunDecompressInto(ByteSpan compressed, std::span<std::byte> out,
                   const DecodeChunksFn& decode_chunks,
                   const PreDecodeFn& pre_decode, TraceSink* trace)
 {
-    ContainerView view = ParseContainer(compressed);
-    const auto algorithm = static_cast<Algorithm>(view.header.algorithm);
-    const PipelineSpec& spec = GetPipeline(algorithm);
+    const ContainerView view = ParseContainer(compressed);
     if (out.size() != view.header.original_size) {
         throw UsageError("DecompressInto: output span must be exactly " +
                          std::to_string(view.header.original_size) +
                          " bytes");
     }
-
-    Checksum64Stream sum(view.header.original_size);
-    if (spec.pre.decode == nullptr) {
-        CheckPreStageFree(view.header);
-        decode_chunks(view, spec, out.data(), &sum);
-    } else {
-        // The whole-input pre-stage needs the full transformed stream,
-        // and restores straight into the caller's memory.
-        CheckPreStageSizes(view.header);
-        DecodeThroughPreStage(view, spec, decode_chunks, pre_decode, out);
-    }
-    VerifyContent(view.header, ByteSpan(out.data(), out.size()), sum,
-                  trace);
+    DecodeVerified(view, CheckedPipeline(view.header), out, decode_chunks,
+                   pre_decode, trace);
 }
 
 size_t
@@ -403,14 +402,14 @@ MakeChunkRangeView(const ContainerPrefix& prefix, size_t first_chunk,
 Bytes
 RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
 {
-    // Both hooks run on the calling thread against the one arena; the
-    // content checksum is folded whole by RunDecompress after the decode.
+    // Both hooks run on the calling thread against the one arena.
     const DecodeChunksFn decode_all = [&scratch](const ContainerView& view,
                                                  const PipelineSpec& spec,
                                                  std::byte* dest,
-                                                 Checksum64Stream*) {
+                                                 uint64_t* block_hashes) {
         for (size_t c = 0; c < view.header.chunk_count; ++c) {
-            DecodeChunkAt(view, spec, c, dest, scratch, &DecodeChunk);
+            DecodeChunkAt(view, spec, c, dest, scratch, &DecodeChunk,
+                          block_hashes);
         }
     };
     const PreDecodeFn pre_decode = [&scratch](const PipelineSpec& spec,

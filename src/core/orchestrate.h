@@ -10,11 +10,11 @@
  * with decoupled look-back). This file owns everything except the scheduling,
  * so the executors cannot drift apart: identical partition math, identical
  * chunk tables, identical prefix bytes, and one content-checksum check.
- * The checksum value is the same Checksum64 on every path; only *when* it
- * is folded is scheduling. An executor may hash the input alongside its
- * chunk encode and may fold decoded chunks in order while others still
- * decode (the CPU executor's checksum lane, DESIGN.md §3a); the decode
- * driver folds whatever the executor did not, then verifies.
+ * The content checksum is chunk-laned too (Checksum64, util/hash.h): the
+ * shared per-chunk bodies hash their block — EncodeChunkAt the input
+ * block of its chunk, DecodeChunkAt the chunk it just wrote — and the
+ * driver combines the block hashes after the join, so both schedulers
+ * hash through the same two functions (DESIGN.md §3a).
  */
 #ifndef FPC_CORE_ORCHESTRATE_H
 #define FPC_CORE_ORCHESTRATE_H
@@ -32,6 +32,7 @@
 namespace fpc {
 
 class TraceSink;
+struct TelemetryShard;
 
 /** Number of 16 KiB chunks covering a transformed stream. */
 inline size_t
@@ -60,7 +61,9 @@ ChunkSlotAt(std::byte* dest, size_t transformed_size, size_t c)
 /**
  * Pass-1 results of a parallel chunk encode: per-chunk stored size, raw
  * flag, and where the payload lives until assembly (the owning worker's
- * arena-retained buffer and the payload's offset within it). Workers fill
+ * arena-retained buffer and the payload's offset within it), and the
+ * ChecksumBlock of each 16 KiB block of the original input, kept with
+ * the chunk of the same index. Workers fill
  * disjoint chunk indices, so no synchronisation is needed beyond the
  * scheduler's own join.
  */
@@ -68,10 +71,23 @@ struct EncodePlan {
     struct Ref {
         uint32_t worker = 0;
         size_t offset = 0;
+        /** ChecksumBlock of input block c, for the chunk c that hashes
+         *  it (EncodeChunkAt). */
+        uint64_t input_hash = 0;
     };
 
-    explicit EncodePlan(size_t n_chunks)
-        : raw_flags(n_chunks, 0), sizes(n_chunks, 0), refs(n_chunks) {}
+    /** A plan for @p n_chunks chunks of an @p input_size-byte input.
+     *  Block b of the input is hashed with chunk b; a whole-input
+     *  pre-stage only ever expands its input, so every block has one.
+     *  With @p input_size 0 nothing is hashed, for callers that build
+     *  the header's checksum themselves. */
+    explicit EncodePlan(size_t n_chunks, size_t input_size = 0)
+        : raw_flags(n_chunks, 0), sizes(n_chunks, 0), refs(n_chunks),
+          input_size(input_size)
+    {
+        FPC_CHECK(ChunkCountOf(input_size) <= n_chunks,
+                  "input has more checksum blocks than chunks");
+    }
 
     /** Record chunk @p c's encoded @p payload: appends it to @p scratch's
      *  retained buffer (which must belong to @p worker) and notes the
@@ -83,7 +99,8 @@ struct EncodePlan {
         raw_flags[c] = raw ? 1 : 0;
         sizes[c] = static_cast<uint32_t>(payload.size());
         Bytes& retained = scratch.Retained();
-        refs[c] = {worker, retained.size()};
+        refs[c].worker = worker;
+        refs[c].offset = retained.size();
         AppendBytes(retained, payload);
     }
 
@@ -99,32 +116,43 @@ struct EncodePlan {
 
     void EnableAdaptive() { algorithm_ids.assign(sizes.size(), 0); }
     bool Adaptive() const { return !algorithm_ids.empty(); }
-};
 
-/** Container header for an input of @p original_size bytes compressed
- *  with @p algorithm; @p checksum is the caller's Checksum64 of the
- *  input, so the scheduler decides when the hash runs. */
-ContainerHeader MakeContainerHeader(Algorithm algorithm,
-                                    size_t original_size,
-                                    size_t transformed_size,
-                                    uint64_t checksum);
+    size_t input_size;
+
+    /** Checksum64 of the input; valid once every chunk is encoded. */
+    uint64_t
+    InputChecksum() const
+    {
+        uint64_t h = ChecksumSeed(input_size);
+        for (size_t b = 0; b < ChunkCountOf(input_size); ++b) {
+            h = ChecksumFold(h, refs[b].input_hash);
+        }
+        return h;
+    }
+};
 
 /** The pre-stage-free algorithm of @p algorithm's element width —
  *  kSPspeed for 4-byte, kDPspeed for 8-byte — recorded as the
- *  representative in a v3 header (the per-chunk id table holds the real
- *  decisions). */
+ *  representative in an adaptive header (the per-chunk id table holds
+ *  the real decisions). */
 Algorithm AdaptiveRepresentative(Algorithm algorithm);
 
-/** Version-3 header for an adaptive encode of an @p original_size-byte
- *  input whose Checksum64 is @p checksum: the width representative of
- *  @p algorithm, transformed == original (adaptive containers never run
- *  a whole-input pre-stage). */
-ContainerHeader MakeAdaptiveContainerHeader(Algorithm algorithm,
-                                            size_t original_size,
-                                            uint64_t checksum);
+/**
+ * The header of a finished encode of @p plan: version 5 with
+ * @p algorithm's width representative when the plan is adaptive
+ * (transformed == original: adaptive containers never run a whole-input
+ * pre-stage), version 4 with @p algorithm otherwise. @p transformed_size
+ * is the chunked stream's length and the checksum plan.InputChecksum().
+ * With a trace ring on @p shard (the run scope's MainShard) that combine
+ * is recorded as a kChecksum span.
+ */
+ContainerHeader MakeContainerHeader(Algorithm algorithm,
+                                    size_t transformed_size,
+                                    const EncodePlan& plan,
+                                    TelemetryShard* shard);
 
 /** The pipeline that decodes chunk @p c of @p view: the recorded
- *  per-chunk pipeline for a v3 view, @p frame_spec otherwise. */
+ *  per-chunk pipeline for an adaptive view, @p frame_spec otherwise. */
 inline const PipelineSpec&
 ChunkSpec(const ContainerView& view, const PipelineSpec& frame_spec,
           size_t c)
@@ -147,23 +175,27 @@ struct ChunkTimes {
  * of @p chunk_src through @p encode — with @p spec, or by
  * EncodeChunkAuto's per-chunk selection when @p plan is adaptive —
  * record the payload in @p plan as @p worker's (@p scratch is that
- * worker's arena), and record the chunk's latency and kChunk span in the
- * arena's telemetry shard.
+ * worker's arena), hash block @p c of @p input (the original data, which
+ * is @p chunk_src unless a pre-stage ran) into plan.refs[c], and
+ * record the chunk's latency and kChunk span in the arena's telemetry
+ * shard.
  */
-ChunkTimes EncodeChunkAt(const PipelineSpec& spec, ByteSpan chunk_src,
-                         size_t c, uint32_t worker, ScratchArena& scratch,
-                         ChunkEncodeFn encode, EncodePlan& plan);
+ChunkTimes EncodeChunkAt(const PipelineSpec& spec, ByteSpan input,
+                         ByteSpan chunk_src, size_t c, uint32_t worker,
+                         ScratchArena& scratch, ChunkEncodeFn encode,
+                         EncodePlan& plan);
 
 /**
  * The per-chunk decode body of every decode loop (both executors and
  * RunDecompressSerial): decode chunk @p c of @p view through @p decode
  * into its slot of @p dest (sized view.header.transformed_size) on
- * @p scratch, and record the chunk's latency and kChunk span in the
- * arena's telemetry shard.
+ * @p scratch, store the slot's ChecksumBlock at @p block_hashes[c] when
+ * @p block_hashes is non-null, and record the chunk's latency and kChunk
+ * span in the arena's telemetry shard.
  */
 ChunkTimes DecodeChunkAt(const ContainerView& view, const PipelineSpec& spec,
                          size_t c, std::byte* dest, ScratchArena& scratch,
-                         ChunkDecodeFn decode);
+                         ChunkDecodeFn decode, uint64_t* block_hashes);
 
 /** Rethrow a chunk loop's first failure with its stage/offset context
  *  intact: a CorruptStreamError as itself, any other std::exception as
@@ -205,13 +237,13 @@ Bytes AssembleContainer(const ContainerHeader& header,
                         std::span<ScratchArena> arenas, int threads);
 
 /** Executor hook: decode every chunk of @p view into @p dest, which is
- *  sized view.header.transformed_size. @p checksum is non-null when the
- *  decoded chunks are the output (no whole-input pre-stage); it arrives
- *  empty, and the hook may fold any in-order prefix of the decoded
- *  chunks into it. The driver folds the rest after the hook returns. */
+ *  sized view.header.transformed_size, each through DecodeChunkAt with
+ *  @p block_hashes. That is non-null when the decoded chunks are the
+ *  output and the container's checksum is chunk-laned; the driver then
+ *  combines the hashes the workers stored. */
 using DecodeChunksFn =
     std::function<void(const ContainerView& view, const PipelineSpec& spec,
-                       std::byte* dest, Checksum64Stream* checksum)>;
+                       std::byte* dest, uint64_t* block_hashes)>;
 
 /** Executor hook: the whole-input pre-stage decode (FCM for DPratio)
  *  into @p out, exactly the container's original size. Only invoked
@@ -227,12 +259,13 @@ PreDecodeFn PreDecodeHook(Telemetry* sink, TraceSink* trace, simd::Isa isa);
 
 /**
  * Shared decompression driver: parse + validate the container, decode the
- * chunks through @p decode_chunks (directly into the result, with the
- * checksum cursor, when the algorithm has no whole-input stage), run
- * @p pre_decode otherwise, fold what the hook left unfolded, and verify
- * the size and content checksum. Throws CorruptStreamError on any
- * mismatch. With @p trace set, that final fold is recorded as a
- * kChecksum span.
+ * chunks through @p decode_chunks (directly into the result, hashing each
+ * chunk as it lands, when the algorithm has no whole-input stage), run
+ * @p pre_decode otherwise, and verify the size and content checksum: the
+ * combined block hashes, or — after a pre-stage, or for a v1/v3
+ * container's Fnv1a64 — a hash of the whole output. Throws
+ * CorruptStreamError on any mismatch. With @p trace set, that final step
+ * is recorded as a kChecksum span.
  */
 Bytes RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
                     const PreDecodeFn& pre_decode, TraceSink* trace);

@@ -10,7 +10,7 @@
  *
  *   run  >  worker  >  chunk  >  stage          (both executors)
  *   run  >  worker  >  block  >  chunk > stage  (gpusim block launches)
- *   run  >  worker  >  checksum                 (content checksum folds)
+ *   run  >  worker  >  checksum                 (content checksum combine)
  *
  * and exports it as Chrome trace-event JSON ("fpc.trace.v1"), loadable
  * in Perfetto or chrome://tracing.
@@ -51,7 +51,8 @@ enum class TraceSpanKind : uint8_t {
     kStage = 3,   ///< one transform-stage call within a chunk
     kBlock = 4,   ///< one gpusim thread-block launch (chunk + look-back)
     kPre = 5,     ///< whole-input pre-stage (FCM of DPratio)
-    kChecksum = 6,  ///< content-checksum fold (input hash or decode fold)
+    kChecksum = 6,  ///< content checksum after the join: the block-hash
+                    ///< combine, or a whole-output hash (pre-stage, v1/v3)
 };
 
 /** Encode/decode direction of a span (matches StageMetrics naming). */
@@ -64,9 +65,9 @@ inline constexpr uint32_t kTraceRunWorker = UINT32_MAX;
 /**
  * One closed span. Plain value; 32 bytes, so rings stay cache-friendly.
  * `stage` holds the StageId value for kStage/kPre spans (0 otherwise);
- * `id` holds the chunk/block index for kChunk/kStage/kBlock spans, the
- * first folded chunk for kChecksum, the worker index for kWorker, and a
- * run-label index for kRun.
+ * `id` holds the chunk/block index for kChunk/kStage/kBlock spans, 0 for
+ * kChecksum, the worker index for kWorker, and a run-label index for
+ * kRun.
  */
 struct TraceSpan {
     uint64_t start_ns = 0;  ///< TelemetryNowNs() at span entry

@@ -12,7 +12,6 @@
 #include "core/telemetry.h"
 #include "gpusim/kernels.h"
 #include "gpusim/primitives.h"
-#include "util/hash.h"
 
 namespace fpc::gpusim {
 
@@ -40,14 +39,14 @@ LaunchWorkerId()
 }
 
 /** Chunk decode hook for the orchestration driver: one thread block per
- *  chunk, scheduled by the device. It folds no checksum; the driver
- *  checksums the whole output after the launch. */
+ *  chunk, scheduled by the device; each block hashes the chunk it wrote
+ *  into @p block_hashes when given. */
 DecodeChunksFn
 DecodeChunksOn(const Device& device, Telemetry* sink, TraceSink* trace)
 {
     return [&device, sink, trace](const ContainerView& view,
                                   const PipelineSpec& spec,
-                                  std::byte* dest, Checksum64Stream*) {
+                                  std::byte* dest, uint64_t* block_hashes) {
         std::vector<ScratchArena> arenas(MaxLaunchWorkers());
         TelemetryRunScope scope(sink, trace, MaxLaunchWorkers());
         scope.HintChunks(view.header.chunk_count);
@@ -63,8 +62,9 @@ DecodeChunksOn(const Device& device, Telemetry* sink, TraceSink* trace)
             const size_t c = block.BlockId();
             try {
                 ScratchArena& scratch = arenas[LaunchWorkerId()];
-                const ChunkTimes times = DecodeChunkAt(
-                    view, spec, c, dest, scratch, &DecodeChunkDevice);
+                const ChunkTimes times =
+                    DecodeChunkAt(view, spec, c, dest, scratch,
+                                  &DecodeChunkDevice, block_hashes);
                 TelemetryShard* shard = scratch.Telemetry();
                 if (shard != nullptr && shard->trace != nullptr) {
                     // The decode block body is the chunk decode, so the
@@ -109,7 +109,7 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
                                          scope.MainShard(), work);
 
     const size_t n_chunks = ChunkCountOf(chunk_src.size());
-    EncodePlan plan(n_chunks);
+    EncodePlan plan(n_chunks, input.size());
     if (adaptive) plan.EnableAdaptive();
     std::vector<uint64_t> offsets(n_chunks, 0);
     DecoupledLookback lookback(n_chunks);
@@ -117,15 +117,16 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
     scope.HintChunks(n_chunks);
     scope.Attach(arenas);
 
-    // One thread block per chunk; after encoding, each block publishes its
-    // compressed size and resolves its write position by looking back.
+    // One thread block per chunk; after encoding (and hashing its input
+    // block), each block publishes its compressed size and resolves its
+    // write position by looking back.
     device.Launch(n_chunks, [&](ThreadBlock& block) {
         const size_t c = block.BlockId();
         const auto worker = static_cast<uint32_t>(LaunchWorkerId());
         ScratchArena& scratch = arenas[worker];
-        const ChunkTimes times = EncodeChunkAt(spec, chunk_src, c, worker,
-                                               scratch, &EncodeChunkDevice,
-                                               plan);
+        const ChunkTimes times =
+            EncodeChunkAt(spec, input, chunk_src, c, worker, scratch,
+                          &EncodeChunkDevice, plan);
         lookback.PublishAggregate(c, plan.sizes[c]);
         offsets[c] = lookback.ResolvePrefix(c);
         TelemetryShard* shard = scratch.Telemetry();
@@ -136,20 +137,8 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
         }
     });
 
-    // The device path keeps the content hash serial, after the launch.
-    const uint64_t t0 = scope.Enabled() ? TelemetryNowNs() : 0;
-    const uint64_t checksum = Checksum64(input);
-    if (TelemetryShard* shard = scope.MainShard()) {
-        if (shard->trace != nullptr) {
-            shard->trace->Record(TraceSpanKind::kChecksum, kTraceEncode, 0,
-                                 0, t0, TelemetryNowNs());
-        }
-    }
-    const ContainerHeader header =
-        adaptive ? MakeAdaptiveContainerHeader(algorithm, input.size(),
-                                               checksum)
-                 : MakeContainerHeader(algorithm, input.size(),
-                                       chunk_src.size(), checksum);
+    const ContainerHeader header = MakeContainerHeader(
+        algorithm, chunk_src.size(), plan, scope.MainShard());
     uint64_t total = 0;
     for (uint32_t size : plan.sizes) total += size;
     // Placement at the look-back-resolved positions; bytes are identical

@@ -1,8 +1,9 @@
 /**
  * @file
- * Deterministic mixing hashes. Used by the FCM transformation and by the
- * LZ match finders. All hashes are fixed (no seeding from global state) so
- * that compressed output is reproducible across runs and devices.
+ * Deterministic mixing hashes. Used by the FCM transformation, the LZ
+ * match finders and the container content checksum. All hashes are fixed
+ * (no seeding from global state) so that compressed output is
+ * reproducible across runs and devices.
  */
 #ifndef FPC_UTIL_HASH_H
 #define FPC_UTIL_HASH_H
@@ -56,67 +57,135 @@ LzHash64(uint64_t word, unsigned bits)
                                  (64 - bits));
 }
 
+namespace checksum_detail {
+
+// The xxh64 primes.
+inline constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+inline constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+inline constexpr uint64_t kP3 = 0x165667b19e3779f9ull;
+
+/** One lane step. The rotate carries the product's high bits down, so a
+ *  change confined to a word's top bits still reaches every output bit. */
+inline uint64_t
+Round(uint64_t acc, uint64_t word)
+{
+    return std::rotl(acc + word * kP2, 31) * kP1;
+}
+
+inline uint64_t
+LoadWord(const std::byte* p)
+{
+    uint64_t w;
+    std::memcpy(&w, p, 8);
+    return w;
+}
+
+}  // namespace checksum_detail
+
 /**
- * Streaming form of Checksum64, the fast 64-bit content checksum (FNV-1a
- * over 8-byte words with a splitmix64 finalizer) stored in the container
- * header and verified on decompression. The total length is mixed in
- * first, so it is declared up front. Every Update span but the last must
- * be a multiple of 8 bytes long, so no word straddles two calls; folding
- * 16 KiB chunks in order therefore yields exactly the one-shot value,
- * which lets an executor fold decoded chunks while others still decode.
+ * The per-block half of Checksum64: the hash of one block of at most
+ * kChunkSize bytes. Four independent lanes take one 8-byte word each per
+ * 32-byte stripe; the lanes, then any 1-3 leftover words, then the 0-7
+ * tail bytes (little-endian) are chained through Mix64. Blocks hash
+ * independently, so the worker that encodes or decodes a chunk hashes
+ * that chunk while it is in cache.
  */
-class Checksum64Stream {
- public:
-    explicit Checksum64Stream(size_t total_size)
-        : h_(0xcbf29ce484222325ull ^ (total_size * 0x9e3779b97f4a7c15ull)),
-          total_(total_size) {}
-
-    /** Fold the next @p data bytes of the input. */
-    void
-    Update(ByteSpan data)
-    {
-        FPC_CHECK(folded_ % 8 == 0 || data.empty(),
-                  "Checksum64Stream: update after a partial word");
-        uint64_t h = h_;
-        size_t i = 0;
-        for (; i + 8 <= data.size(); i += 8) {
-            uint64_t w;
-            std::memcpy(&w, data.data() + i, 8);
-            h = (h ^ w) * 0x100000001b3ull;
-        }
-        for (unsigned shift = 0; i < data.size(); ++i, shift += 8) {
-            tail_ |= static_cast<uint64_t>(data[i]) << shift;
-        }
-        h_ = h;
-        folded_ += data.size();
+inline uint64_t
+ChecksumBlock(ByteSpan block)
+{
+    using namespace checksum_detail;
+    uint64_t v0 = kP1 + kP2;
+    uint64_t v1 = kP2;
+    uint64_t v2 = 0;
+    uint64_t v3 = 0 - kP1;
+    const std::byte* p = block.data();
+    const size_t n = block.size();
+    size_t i = 0;
+    for (; i + 32 <= n; i += 32) {
+        v0 = Round(v0, LoadWord(p + i));
+        v1 = Round(v1, LoadWord(p + i + 8));
+        v2 = Round(v2, LoadWord(p + i + 16));
+        v3 = Round(v3, LoadWord(p + i + 24));
     }
-
-    /** Bytes folded so far. */
-    size_t Folded() const { return folded_; }
-
-    /** The checksum; every declared byte must have been folded. */
-    uint64_t
-    Finish() const
-    {
-        FPC_CHECK(folded_ == total_,
-                  "Checksum64Stream: folded size differs from declared size");
-        return Mix64((h_ ^ tail_) * 0x100000001b3ull);
+    uint64_t h = Mix64(v0);
+    h = Mix64(h ^ v1);
+    h = Mix64(h ^ v2);
+    h = Mix64(h ^ v3);
+    for (; i + 8 <= n; i += 8) h = Mix64(h ^ LoadWord(p + i));
+    if (i < n) {
+        uint64_t tail = 0;
+        for (unsigned shift = 0; i < n; ++i, shift += 8) {
+            tail |= static_cast<uint64_t>(p[i]) << shift;
+        }
+        h = Mix64(h ^ tail);
     }
+    return h;
+}
 
- private:
-    uint64_t h_;
-    uint64_t tail_ = 0;  ///< the final 1-7 bytes, little-endian
-    size_t total_;
-    size_t folded_ = 0;
-};
+/**
+ * The combining half of Checksum64, over a @p total_size-byte buffer:
+ * start from ChecksumSeed, then fold the ChecksumBlock of each
+ * consecutive kChunkSize block (the last may be short) in block order.
+ */
+inline uint64_t
+ChecksumSeed(size_t total_size)
+{
+    return Mix64(total_size ^ checksum_detail::kP3);
+}
 
-/** One-shot Checksum64Stream over @p data. */
+inline uint64_t
+ChecksumFold(uint64_t h, uint64_t block_hash)
+{
+    return Mix64(h ^ block_hash);
+}
+
+/** The combine over all of a buffer's @p block_hashes at once. */
+inline uint64_t
+ChecksumCombine(std::span<const uint64_t> block_hashes, size_t total_size)
+{
+    uint64_t h = ChecksumSeed(total_size);
+    for (uint64_t b : block_hashes) h = ChecksumFold(h, b);
+    return h;
+}
+
+/**
+ * The 64-bit content checksum stored in v4/v5 container headers and
+ * verified on decompression: the combine of the ChecksumBlock of every
+ * 16 KiB block of @p data. Unlike FNV-1a, a constant additive offset on
+ * a run of words (DIFFMS damage) changes it.
+ */
 inline uint64_t
 Checksum64(ByteSpan data)
 {
-    Checksum64Stream sum(data.size());
-    sum.Update(data);
-    return sum.Finish();
+    uint64_t h = ChecksumSeed(data.size());
+    for (size_t begin = 0; begin < data.size(); begin += kChunkSize) {
+        h = ChecksumFold(h, ChecksumBlock(data.subspan(
+                                begin, std::min(kChunkSize,
+                                                data.size() - begin))));
+    }
+    return h;
+}
+
+/**
+ * The earlier content checksum: FNV-1a over 8-byte words (length mixed in
+ * first, the 0-7 tail bytes last) with a splitmix64 finalizer. v1/v3
+ * containers store it, and it stays the hash of everything already
+ * committed: the seek-index footer and the bench config fingerprints.
+ */
+inline uint64_t
+Fnv1a64(ByteSpan data)
+{
+    uint64_t h = 0xcbf29ce484222325ull ^ (data.size() * 0x9e3779b97f4a7c15ull);
+    size_t i = 0;
+    for (; i + 8 <= data.size(); i += 8) {
+        h = (h ^ checksum_detail::LoadWord(data.data() + i)) *
+            0x100000001b3ull;
+    }
+    uint64_t tail = 0;
+    for (unsigned shift = 0; i < data.size(); ++i, shift += 8) {
+        tail |= static_cast<uint64_t>(data[i]) << shift;
+    }
+    return Mix64((h ^ tail) * 0x100000001b3ull);
 }
 
 /** Deterministic xorshift128+ generator for synthetic data and tests. */

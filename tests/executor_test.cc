@@ -8,9 +8,9 @@
  * checksums pin the wire format per backend: any change here is a
  * breaking format change and must be deliberate (bump the container
  * version), not a side effect of a performance or scheduling change.
- * The checksum-lane tests drive the CPU executor's shared-cursor chunk
- * loop (worker 0 folds the content checksum between claims) through
- * failures, edge sizes and repetition at several thread counts.
+ * The chunk-checksum tests drive the CPU executor's shared-cursor chunk
+ * loop (each worker hashes the chunks it decodes) through failures, edge
+ * sizes and repetition at several thread counts.
  */
 #include <gtest/gtest.h>
 
@@ -20,6 +20,7 @@
 #include "core/container.h"
 #include "core/executor.h"
 #include "core/stream.h"
+#include "golden_form.h"
 #include "util/hash.h"
 
 namespace fpc {
@@ -160,35 +161,39 @@ TEST(ExecutorMatrix, AllBackendsBitIdenticalAndInteroperable)
 /**
  * Golden sizes and checksums of the compressed streams, asserted for
  * every registered backend (folded in from the former determinism_test
- * golden table when the executor layer was introduced).
+ * golden table when the executor layer was introduced). `fingerprint`
+ * is the original wire-format value: Fnv1a64 of the container's v1 form
+ * (golden_form.h). `header_checksum` is the v4 header's Checksum64 of
+ * the input, so it is the same for every algorithm of one input.
  */
+struct Golden {
+    size_t size;
+    Algorithm algorithm;
+    size_t compressed_bytes;
+    uint64_t fingerprint;
+    uint64_t header_checksum;
+};
+constexpr Golden kGolden[] = {
+    {size_t{1} << 20, Algorithm::kSPspeed, 352288, 0x8164796542bb988bull,
+     0x8a0f621c658823edull},
+    {size_t{1} << 20, Algorithm::kSPratio, 339156, 0x526deebca63acd9bull,
+     0x8a0f621c658823edull},
+    {size_t{1} << 20, Algorithm::kDPspeed, 718032, 0x82032e9934e4fad5ull,
+     0x8a0f621c658823edull},
+    {size_t{1} << 20, Algorithm::kDPratio, 709370, 0x69a8a775ae901fbcull,
+     0x8a0f621c658823edull},
+    {(size_t{1} << 18) + 13, Algorithm::kSPspeed, 88117,
+     0x6f130cb3aec62125ull, 0x93618be47cf9f9f0ull},
+    {(size_t{1} << 18) + 13, Algorithm::kSPratio, 84488,
+     0x5b4e8bd20eba4a96ull, 0x93618be47cf9f9f0ull},
+    {(size_t{1} << 18) + 13, Algorithm::kDPspeed, 179552,
+     0xe451776ff8bb5f24ull, 0x93618be47cf9f9f0ull},
+    {(size_t{1} << 18) + 13, Algorithm::kDPratio, 177416,
+     0x28355c9472bc8f68ull, 0x93618be47cf9f9f0ull},
+};
+
 TEST(ExecutorGolden, CompressedChecksumsOnEveryBackend)
 {
-    struct Golden {
-        size_t size;
-        Algorithm algorithm;
-        size_t compressed_bytes;
-        uint64_t checksum;
-    };
-    const Golden kGolden[] = {
-        {size_t{1} << 20, Algorithm::kSPspeed, 352288,
-         0x8164796542bb988bull},
-        {size_t{1} << 20, Algorithm::kSPratio, 339156,
-         0x526deebca63acd9bull},
-        {size_t{1} << 20, Algorithm::kDPspeed, 718032,
-         0x82032e9934e4fad5ull},
-        {size_t{1} << 20, Algorithm::kDPratio, 709370,
-         0x69a8a775ae901fbcull},
-        {(size_t{1} << 18) + 13, Algorithm::kSPspeed, 88117,
-         0x6f130cb3aec62125ull},
-        {(size_t{1} << 18) + 13, Algorithm::kSPratio, 84488,
-         0x5b4e8bd20eba4a96ull},
-        {(size_t{1} << 18) + 13, Algorithm::kDPspeed, 179552,
-         0xe451776ff8bb5f24ull},
-        {(size_t{1} << 18) + 13, Algorithm::kDPratio, 177416,
-         0x28355c9472bc8f68ull},
-    };
-
     for (const std::string& name : ExecutorNames()) {
         Options options;
         options.executor = &GetExecutor(name);
@@ -200,9 +205,57 @@ TEST(ExecutorGolden, CompressedChecksumsOnEveryBackend)
             EXPECT_EQ(compressed.size(), g.compressed_bytes)
                 << name << ", alg " << static_cast<int>(g.algorithm)
                 << ", size " << g.size;
-            EXPECT_EQ(Checksum64(ByteSpan(compressed)), g.checksum)
+            EXPECT_EQ(GoldenFingerprint(ByteSpan(compressed),
+                                        ByteSpan(input)),
+                      g.fingerprint)
                 << name << ", alg " << static_cast<int>(g.algorithm)
                 << ", size " << g.size;
+            EXPECT_EQ(HeaderChecksum(ByteSpan(compressed)),
+                      g.header_checksum)
+                << name << ", alg " << static_cast<int>(g.algorithm)
+                << ", size " << g.size;
+        }
+    }
+}
+
+/** Containers written before v4 — the golden rows' v1 form, and a
+ *  mode=auto container's v3 form — still decode on every backend with
+ *  their Fnv1a64 checksum verified: a flipped checksum bit throws. */
+TEST(ExecutorGolden, LegacyFormsDecodeOnEveryBackend)
+{
+    const Bytes auto_input = MakeInput(5 * kChunkSize + 9, 0xa7e5);
+    const Bytes auto_container = Compress(
+        Algorithm::kSPspeed, ByteSpan(auto_input), Options{}.with_mode("auto"));
+    ASSERT_EQ(static_cast<uint8_t>(auto_container[4]),
+              ContainerHeader::kVersionAdaptive);
+    std::vector<std::pair<Bytes, Bytes>> cases;  // (legacy form, original)
+    cases.emplace_back(LegacyForm(ByteSpan(auto_container),
+                                  ByteSpan(auto_input)),
+                       auto_input);
+    for (const Golden& g : kGolden) {
+        const Bytes input = MakeInput(g.size, 0x5eed + g.size);
+        const Bytes container = Compress(g.algorithm, ByteSpan(input));
+        ASSERT_EQ(static_cast<uint8_t>(container[4]),
+                  ContainerHeader::kVersion);
+        cases.emplace_back(LegacyForm(ByteSpan(container), ByteSpan(input)),
+                           input);
+    }
+    for (const std::string& name : ExecutorNames()) {
+        const Options options = Options{}.with_executor(name).with_threads(2);
+        for (const auto& [legacy, original] : cases) {
+            SCOPED_TRACE(name + ", " + std::to_string(original.size()) +
+                         " bytes, version " +
+                         std::to_string(static_cast<int>(legacy[4])));
+            EXPECT_EQ(Decompress(ByteSpan(legacy), options), original);
+            Bytes into(original.size());
+            DecompressInto(ByteSpan(legacy), std::span<std::byte>(into),
+                           options);
+            EXPECT_EQ(into, original);
+
+            Bytes flipped = legacy;
+            flipped[24] ^= std::byte{0x01};  // low byte of the checksum
+            EXPECT_THROW(Decompress(ByteSpan(flipped), options),
+                         CorruptStreamError);
         }
     }
 }
@@ -269,8 +322,8 @@ TEST(ExecutorTyped, TypedDecodeRejectsWrongWidthContainers)
     EXPECT_EQ(sp.decompress_as<float>(ByteSpan(fc)), fvalues);
 }
 
-/** Thread counts of the checksum-lane tests: serial, the lane plus one,
- *  the benchmark's three, and more workers than this host has cores. */
+/** Thread counts of the chunk-checksum tests: serial, two, the
+ *  benchmark's three, and more workers than this host has cores. */
 constexpr int kLaneThreads[] = {1, 2, 3, 8};
 
 Options
@@ -310,7 +363,7 @@ ChunkPayloadOffset(const Bytes& container, size_t c)
            view.chunk_offsets[c];
 }
 
-TEST(ExecutorChecksumLane, StructuralCorruptionInAMiddleChunkThrows)
+TEST(ExecutorChunkChecksum, StructuralCorruptionInAMiddleChunkThrows)
 {
     const size_t n_chunks = 24;
     const Bytes input = MakeInput(kChunkSize * n_chunks, 0x51de);
@@ -347,12 +400,12 @@ TEST(ExecutorChecksumLane, StructuralCorruptionInAMiddleChunkThrows)
     }
 }
 
-TEST(ExecutorChecksumLane, PayloadFlipThatDecodesWrongFailsTheChecksum)
+TEST(ExecutorChunkChecksum, PayloadFlipThatDecodesWrongFailsTheChecksum)
 {
     // Incompressible input stores every chunk verbatim, so a flipped
     // payload bit decodes without complaint to wrong bytes — only the
     // content checksum can catch it. SPspeed has no pre-stage, so the
-    // lane folds the damaged chunk on most runs.
+    // worker that decodes the damaged chunk also hashes it.
     const size_t n_chunks = 16;
     Bytes input(kChunkSize * n_chunks + 5);
     Rng rng(0xf11e);
@@ -377,7 +430,7 @@ TEST(ExecutorChecksumLane, PayloadFlipThatDecodesWrongFailsTheChecksum)
     }
 }
 
-TEST(ExecutorChecksumLane, EdgeSizesRoundTripAtEveryThreadCount)
+TEST(ExecutorChunkChecksum, EdgeSizesRoundTripAtEveryThreadCount)
 {
     // Empty, one short chunk, fewer chunks than threads, and sizes whose
     // final chunk ends in a 1-7 byte partial word.
@@ -413,7 +466,7 @@ TEST(ExecutorChecksumLane, EdgeSizesRoundTripAtEveryThreadCount)
     }
 }
 
-TEST(ExecutorChecksumLane, RepeatedThreeThreadRoundTripsAreIdentical)
+TEST(ExecutorChunkChecksum, RepeatedThreeThreadRoundTripsAreIdentical)
 {
     const Bytes input = MakeInput(kChunkSize * 64, 0x4e9e);
     const Options options = CpuThreads(3);

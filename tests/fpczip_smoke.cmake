@@ -58,7 +58,7 @@ if(NOT last_output MATCHES "\"compressed_size\": [0-9]+")
     message(FATAL_ERROR "inspect output lacks compressed_size: ${last_output}")
 endif()
 
-# mode=auto: compress with per-chunk adaptive selection, inspect the v3
+# mode=auto: compress with per-chunk adaptive selection, inspect the v5
 # container (per-chunk algorithm table + histogram), decompress on the
 # device backend, byte-compare. --mode=fixed must match the plain run.
 set(packed_auto "${WORK_DIR}/input-auto.fpcz")
@@ -68,7 +68,7 @@ if(NOT last_output MATCHES "^auto: ")
 endif()
 run_fpczip(0 inspect "${packed_auto}")
 if(NOT last_output MATCHES "\"mode\": \"auto\"")
-    message(FATAL_ERROR "inspect of a v3 container lacks mode=auto: ${last_output}")
+    message(FATAL_ERROR "inspect of a v5 container lacks mode=auto: ${last_output}")
 endif()
 if(NOT last_output MATCHES "\"chunk_algorithms\": \\[\"[A-Za-z0-9\", ]+\\]")
     message(FATAL_ERROR "inspect lacks the per-chunk algorithm table: ${last_output}")

@@ -20,6 +20,7 @@
 
 #include "core/codec.h"
 #include "core/executor.h"
+#include "golden_form.h"
 #include "util/bitpack.h"
 #include "util/hash.h"
 #include "util/simd.h"
@@ -368,20 +369,30 @@ MakeInput(size_t n_bytes, uint64_t seed)
 struct Golden {
     size_t size;
     Algorithm algorithm;
-    uint64_t checksum;
+    uint64_t fingerprint;      ///< Fnv1a64 of the v1 form (golden_form.h)
+    uint64_t header_checksum;  ///< the v4 header's Checksum64 of the input
 };
 
 /** The PR 2 wire-format goldens (the checksum half of executor_test's
- *  table): every kernel level must reproduce these bytes exactly. */
+ *  table): every kernel level must reproduce these bytes exactly, and
+ *  the same v4 header checksum. */
 constexpr Golden kGolden[] = {
-    {size_t{1} << 20, Algorithm::kSPspeed, 0x8164796542bb988bull},
-    {size_t{1} << 20, Algorithm::kSPratio, 0x526deebca63acd9bull},
-    {size_t{1} << 20, Algorithm::kDPspeed, 0x82032e9934e4fad5ull},
-    {size_t{1} << 20, Algorithm::kDPratio, 0x69a8a775ae901fbcull},
-    {(size_t{1} << 18) + 13, Algorithm::kSPspeed, 0x6f130cb3aec62125ull},
-    {(size_t{1} << 18) + 13, Algorithm::kSPratio, 0x5b4e8bd20eba4a96ull},
-    {(size_t{1} << 18) + 13, Algorithm::kDPspeed, 0xe451776ff8bb5f24ull},
-    {(size_t{1} << 18) + 13, Algorithm::kDPratio, 0x28355c9472bc8f68ull},
+    {size_t{1} << 20, Algorithm::kSPspeed, 0x8164796542bb988bull,
+     0x8a0f621c658823edull},
+    {size_t{1} << 20, Algorithm::kSPratio, 0x526deebca63acd9bull,
+     0x8a0f621c658823edull},
+    {size_t{1} << 20, Algorithm::kDPspeed, 0x82032e9934e4fad5ull,
+     0x8a0f621c658823edull},
+    {size_t{1} << 20, Algorithm::kDPratio, 0x69a8a775ae901fbcull,
+     0x8a0f621c658823edull},
+    {(size_t{1} << 18) + 13, Algorithm::kSPspeed, 0x6f130cb3aec62125ull,
+     0x93618be47cf9f9f0ull},
+    {(size_t{1} << 18) + 13, Algorithm::kSPratio, 0x5b4e8bd20eba4a96ull,
+     0x93618be47cf9f9f0ull},
+    {(size_t{1} << 18) + 13, Algorithm::kDPspeed, 0xe451776ff8bb5f24ull,
+     0x93618be47cf9f9f0ull},
+    {(size_t{1} << 18) + 13, Algorithm::kDPratio, 0x28355c9472bc8f68ull,
+     0x93618be47cf9f9f0ull},
 };
 
 /** cpu backend x every ISA level via the per-call request: golden bytes,
@@ -397,7 +408,12 @@ TEST(SimdGoldenMatrix, CpuBackendEveryIsaLevel)
             const Bytes input = MakeInput(g.size, 0x5eed + g.size);
             const Bytes compressed =
                 Compress(g.algorithm, ByteSpan(input), options);
-            EXPECT_EQ(Checksum64(ByteSpan(compressed)), g.checksum)
+            EXPECT_EQ(
+                GoldenFingerprint(ByteSpan(compressed), ByteSpan(input)),
+                g.fingerprint)
+                << simd::IsaName(isa) << ", alg "
+                << AlgorithmName(g.algorithm) << ", size " << g.size;
+            EXPECT_EQ(HeaderChecksum(ByteSpan(compressed)), g.header_checksum)
                 << simd::IsaName(isa) << ", alg "
                 << AlgorithmName(g.algorithm) << ", size " << g.size;
 
@@ -430,10 +446,15 @@ TEST(SimdGoldenMatrix, GpusimBackendsEveryIsaLevel)
                 const Bytes input = MakeInput(g.size, 0x5eed + g.size);
                 const Bytes compressed =
                     Compress(g.algorithm, ByteSpan(input), options);
-                EXPECT_EQ(Checksum64(ByteSpan(compressed)), g.checksum)
+                EXPECT_EQ(GoldenFingerprint(ByteSpan(compressed),
+                                            ByteSpan(input)),
+                          g.fingerprint)
                     << backend << " under " << simd::IsaName(isa)
                     << ", alg " << AlgorithmName(g.algorithm) << ", size "
                     << g.size;
+                EXPECT_EQ(HeaderChecksum(ByteSpan(compressed)),
+                          g.header_checksum)
+                    << backend << " under " << simd::IsaName(isa);
                 EXPECT_EQ(Decompress(ByteSpan(compressed), options), input)
                     << backend << " under " << simd::IsaName(isa);
             }

@@ -26,6 +26,7 @@
 #include "core/pipeline.h"
 #include "core/stream.h"
 #include "core/telemetry.h"
+#include "golden_form.h"
 #include "util/hash.h"
 
 // The counting operators below pair a malloc-backed operator new with a
@@ -251,11 +252,14 @@ TEST(TelemetryNeutrality, GoldenChecksumsWithAndWithoutSink)
     struct Golden {
         Algorithm algorithm;
         size_t compressed_bytes;
-        uint64_t checksum;
+        uint64_t fingerprint;      ///< Fnv1a64 of the v1 form
+        uint64_t header_checksum;  ///< the v4 header's Checksum64
     };
     const Golden kGolden[] = {
-        {Algorithm::kSPspeed, 352288, 0x8164796542bb988bull},
-        {Algorithm::kDPratio, 709370, 0x69a8a775ae901fbcull},
+        {Algorithm::kSPspeed, 352288, 0x8164796542bb988bull,
+         0x8a0f621c658823edull},
+        {Algorithm::kDPratio, 709370, 0x69a8a775ae901fbcull,
+         0x8a0f621c658823edull},
     };
     const Bytes input = MakeInput(size_t{1} << 20, 0x5eed + (size_t{1} << 20));
     for (const char* backend : kBackends) {
@@ -273,7 +277,9 @@ TEST(TelemetryNeutrality, GoldenChecksumsWithAndWithoutSink)
                 Compress(g.algorithm, ByteSpan(input), instrumented);
             EXPECT_EQ(without, with);
             EXPECT_EQ(with.size(), g.compressed_bytes);
-            EXPECT_EQ(Checksum64(ByteSpan(with)), g.checksum);
+            EXPECT_EQ(GoldenFingerprint(ByteSpan(with), ByteSpan(input)),
+                      g.fingerprint);
+            EXPECT_EQ(HeaderChecksum(ByteSpan(with)), g.header_checksum);
             EXPECT_EQ(Decompress(ByteSpan(with), instrumented), input);
         }
     }

@@ -7,7 +7,7 @@
  *    counts equal the telemetry call counters collected by the same run;
  *  - histogram totals: the chunk latency digests of fpc.telemetry.v3
  *    count exactly one sample per chunk;
- *  - the content checksum lane: checksum spans exist in both directions,
+ *  - the content checksum: checksum spans exist in both directions,
  *    lie inside their run span, and never overlap a chunk span of the
  *    worker that recorded them;
  *  - neutrality: attaching a tracer must not change one compressed byte
@@ -28,6 +28,7 @@
 #include "core/executor.h"
 #include "core/telemetry.h"
 #include "core/trace.h"
+#include "golden_form.h"
 #include "util/hash.h"
 
 namespace fpc {
@@ -231,8 +232,8 @@ TEST(TraceReconciliation, ChecksumSpansLieInRunAndBesideChunkSpans)
                 }
                 EXPECT_TRUE(in_run) << "checksum span outside its run";
             }
-            // One input hash on compress; at least the post-join fold on
-            // decompress.
+            // One block-hash combine on compress; at least the post-join
+            // content check on decompress.
             EXPECT_EQ(checksum_spans[kTraceEncode], 1u);
             EXPECT_GE(checksum_spans[kTraceDecode], 1u);
         }
@@ -246,11 +247,14 @@ TEST(TraceNeutrality, GoldenChecksumsWithTracingOn)
     struct Golden {
         Algorithm algorithm;
         size_t compressed_bytes;
-        uint64_t checksum;
+        uint64_t fingerprint;      ///< Fnv1a64 of the v1 form
+        uint64_t header_checksum;  ///< the v4 header's Checksum64
     };
     const Golden kGolden[] = {
-        {Algorithm::kSPspeed, 352288, 0x8164796542bb988bull},
-        {Algorithm::kDPratio, 709370, 0x69a8a775ae901fbcull},
+        {Algorithm::kSPspeed, 352288, 0x8164796542bb988bull,
+         0x8a0f621c658823edull},
+        {Algorithm::kDPratio, 709370, 0x69a8a775ae901fbcull,
+         0x8a0f621c658823edull},
     };
     const Bytes input =
         MakeInput(size_t{1} << 20, 0x5eed + (size_t{1} << 20));
@@ -270,7 +274,9 @@ TEST(TraceNeutrality, GoldenChecksumsWithTracingOn)
                 Compress(g.algorithm, ByteSpan(input), traced);
             EXPECT_EQ(without, with);
             EXPECT_EQ(with.size(), g.compressed_bytes);
-            EXPECT_EQ(Checksum64(ByteSpan(with)), g.checksum);
+            EXPECT_EQ(GoldenFingerprint(ByteSpan(with), ByteSpan(input)),
+                      g.fingerprint);
+            EXPECT_EQ(HeaderChecksum(ByteSpan(with)), g.header_checksum);
             EXPECT_EQ(Decompress(ByteSpan(with), traced), input);
             if (kTelemetryEnabled) {
                 EXPECT_GT(trace.SpanCount(), 0u);

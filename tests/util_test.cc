@@ -201,64 +201,113 @@ TEST(Hash, Deterministic)
     for (int i = 0; i < 100; ++i) EXPECT_EQ(a.Next(), b.Next());
 }
 
-/** Fold @p data into a Checksum64Stream in pieces ending at @p cuts. */
-uint64_t
-FoldAt(ByteSpan data, const std::vector<size_t>& cuts)
+/** @p n bytes from Rng(@p seed). */
+Bytes
+RandomBytes(size_t n, uint64_t seed)
 {
-    Checksum64Stream sum(data.size());
-    size_t begin = 0;
-    for (size_t cut : cuts) {
-        sum.Update(data.subspan(begin, cut - begin));
-        begin = cut;
-    }
-    sum.Update(data.subspan(begin));
-    return sum.Finish();
+    Rng rng(seed);
+    Bytes data(n);
+    for (std::byte& b : data) b = static_cast<std::byte>(rng.Next());
+    return data;
 }
 
-TEST(Hash, StreamingChecksumIsSplitInvariant)
+/** Checksum64 rebuilt from its halves, the way the chunk loops do it:
+ *  one ChecksumBlock per 16 KiB block, combined in block order. */
+uint64_t
+CombinedBlocks(ByteSpan data)
 {
-    Rng rng(0xc5c5);
-    Bytes data(kChunkSize * 5 + 8 * 3 + 7);
-    for (std::byte& b : data) b = static_cast<std::byte>(rng.Next());
+    std::vector<uint64_t> blocks;
+    for (size_t begin = 0; begin < data.size(); begin += kChunkSize) {
+        blocks.push_back(ChecksumBlock(
+            data.subspan(begin, std::min(kChunkSize, data.size() - begin))));
+    }
+    return ChecksumCombine(blocks, data.size());
+}
 
-    // Every length with a 0-7 byte tail, including empty input.
-    for (size_t size : {size_t{0}, size_t{1}, size_t{7}, size_t{8},
-                        size_t{13}, kChunkSize, kChunkSize + 5,
-                        data.size()}) {
+TEST(Hash, OneShotChecksumEqualsBlockCombine)
+{
+    const Bytes data = RandomBytes(3 * kChunkSize + 1000, 0xc5c5);
+    for (size_t size : {size_t{0}, size_t{7}, size_t{8}, kChunkSize - 1,
+                        kChunkSize, kChunkSize + 1, data.size()}) {
         const ByteSpan span = ByteSpan(data).first(size);
-        const uint64_t one_shot = Checksum64(span);
-        EXPECT_EQ(FoldAt(span, {}), one_shot) << size;
+        EXPECT_EQ(Checksum64(span), CombinedBlocks(span)) << size;
+    }
+    // The length counts, also when the extra bytes are zero; so does the
+    // order of the blocks.
+    Bytes zeros(kChunkSize + 8);
+    EXPECT_NE(Checksum64(ByteSpan(zeros).first(12)),
+              Checksum64(ByteSpan(zeros).first(8)));
+    EXPECT_NE(Checksum64(ByteSpan(zeros)),
+              Checksum64(ByteSpan(zeros).first(kChunkSize)));
+    Bytes swapped(data.begin(), data.begin() + 2 * kChunkSize);
+    std::swap_ranges(swapped.begin(), swapped.begin() + kChunkSize,
+                     swapped.begin() + kChunkSize);
+    EXPECT_NE(Checksum64(ByteSpan(swapped)),
+              Checksum64(ByteSpan(data).first(2 * kChunkSize)));
+}
 
-        // At 16 KiB chunk boundaries, in order, as the decode lane folds.
-        std::vector<size_t> chunk_cuts;
-        for (size_t cut = kChunkSize; cut < size; cut += kChunkSize) {
-            chunk_cuts.push_back(cut);
-        }
-        EXPECT_EQ(FoldAt(span, chunk_cuts), one_shot) << size;
+/** Add @p offset (mod 2^64) to the @p count 8-byte words of @p data
+ *  starting at word @p first. */
+Bytes
+WithOffset(const Bytes& data, size_t first, size_t count, uint64_t offset)
+{
+    Bytes out = data;
+    for (size_t w = first; w < first + count; ++w) {
+        uint64_t v;
+        std::memcpy(&v, out.data() + 8 * w, 8);
+        v += offset;
+        std::memcpy(out.data() + 8 * w, &v, 8);
+    }
+    return out;
+}
 
-        // At random 8-byte-multiple cuts, including empty pieces.
-        for (int trial = 0; trial < 20; ++trial) {
-            std::vector<size_t> cuts;
-            size_t at = 0;
-            while (true) {
-                at += 8 * rng.NextBelow(600);
-                if (at > size) break;
-                cuts.push_back(at);
-            }
-            EXPECT_EQ(FoldAt(span, cuts), one_shot)
-                << size << ", trial " << trial;
+TEST(Hash, ConstantOffsetOnAWordRunChangesChecksum)
+{
+    // A DIFFMS decode whose first residual is off by d shifts every
+    // later word by d. FNV-1a's multiply never carries high bits down,
+    // so a top-bit change on two words cancels; the laned rounds rotate
+    // them down and must not.
+    const Bytes data = RandomBytes(2 * kChunkSize + 24, 0xd1ff);
+    const size_t words = data.size() / 8;
+    const uint64_t base = Checksum64(ByteSpan(data));
+
+    const Bytes top_pair = WithOffset(data, 40, 2, uint64_t{1} << 63);
+    EXPECT_EQ(Fnv1a64(ByteSpan(top_pair)), Fnv1a64(ByteSpan(data)))
+        << "the FNV-1a blind spot this hash closes";
+    EXPECT_NE(Checksum64(ByteSpan(top_pair)), base);
+
+    std::vector<uint64_t> offsets = {1, 3, ~uint64_t{0}, uint64_t{1} << 32};
+    for (uint64_t k = 1; k < 16; ++k) offsets.push_back(k << 60);
+    const std::pair<size_t, size_t> runs[] = {
+        {0, 1},         {0, 2},         {3, 4},       {5, 5},
+        {100, 64},      {2040, 16},     {0, words},   {2047, 2},
+        {words - 3, 3}, {1000, 3000},
+    };
+    for (uint64_t offset : offsets) {
+        for (const auto& [first, count] : runs) {
+            EXPECT_NE(Checksum64(ByteSpan(
+                          WithOffset(data, first, count, offset))),
+                      base)
+                << "offset " << std::hex << offset << std::dec << " on "
+                << count << " words from " << first;
         }
     }
+}
 
-    // A dozen bytes fold to a different value than their 8-byte prefix:
-    // the tail counts, and so does the declared length.
-    EXPECT_NE(Checksum64(ByteSpan(data).first(12)),
-              Checksum64(ByteSpan(data).first(8)));
-    Checksum64Stream folded(8);
-    EXPECT_EQ(folded.Folded(), 0u);
-    folded.Update(ByteSpan(data).first(8));
-    EXPECT_EQ(folded.Folded(), 8u);
-    EXPECT_EQ(folded.Finish(), Checksum64(ByteSpan(data).first(8)));
+TEST(Hash, ChecksumValuesArePinned)
+{
+    // Containers store these values, so they may never drift: not with
+    // the kernel level (this file also runs under FPC_FORCE_SCALAR=1 in
+    // tools/ci_matrix.sh), the compiler or the host.
+    EXPECT_EQ(Checksum64(ByteSpan()), 0x38b8170fabfd0419ull);
+    EXPECT_EQ(Checksum64(ByteSpan(RandomBytes(13, 1))), 0xaa1bec95e16e0918ull);
+    EXPECT_EQ(Checksum64(ByteSpan(RandomBytes(kChunkSize, 2))),
+              0xf666d415191c4c18ull);
+    EXPECT_EQ(Checksum64(ByteSpan(RandomBytes(3 * kChunkSize + 77, 3))),
+              0xf0431c7679f83537ull);
+    // The legacy hash of v1/v3 containers and the seek-index footer.
+    EXPECT_EQ(Fnv1a64(ByteSpan(RandomBytes(3 * kChunkSize + 77, 3))),
+              0xf8c8a43d71882136ull);
 }
 
 TEST(Scan, ExclusiveAndInclusive)

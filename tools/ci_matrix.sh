@@ -42,7 +42,7 @@
 #                    concurrent connection handling (protocol_test).
 #
 # The default leg also runs a mode=auto smoke (compress a mixed corpus
-# adaptively, inspect the v3 per-chunk table, decode on the gpusim
+# adaptively, inspect the v5 per-chunk table, decode on the gpusim
 # backend, byte-compare, and schema-check the v7 adaptive telemetry) and
 # a service daemon smoke: fpcd on a unix socket, concurrent fpcc
 # roundtrips for all four algorithms plus mode=auto on the gpusim

@@ -16,9 +16,10 @@
  * -a picks the algorithm (default SPspeed — pick DP* for doubles; the
  *    element width is never guessed from the file size).
  * --mode=auto probes every 16 KiB chunk at encode time and records the
- *    best-scoring pipeline per chunk in a v3 container (-a then only
- *    fixes the element width). --mode=fixed (the default) keeps the
- *    single-algorithm v1 container, byte-identical to before.
+ *    best-scoring pipeline per chunk in a v5 container (-a then only
+ *    fixes the element width). --mode=fixed (the default) writes the
+ *    single-algorithm v4 container. -d also reads the v1/v3 containers
+ *    of earlier releases.
  * --frame-bytes=N makes -c emit a seekable stream: the input is cut into
  *    N-byte frames (N is rounded down to a whole number of elements),
  *    each compressed as an independent container, and a trailing seek
@@ -113,7 +114,7 @@ Usage()
         "ALGO:    SPspeed (default) | SPratio | DPspeed | DPratio\n"
         "NAME:    cpu (default) | gpusim:4090 | gpusim:a100\n"
         "--mode=auto|fixed: auto probes every 16 KiB chunk and records\n"
-        "         the best pipeline per chunk (a v3 container; -a then\n"
+        "         the best pipeline per chunk (a v5 container; -a then\n"
         "         only fixes the element width). Default: fixed\n"
         "-g:      shorthand for --backend=gpusim:4090 (identical output)\n"
         "--frame-bytes=N: cut the input into N-byte frames (suffixes k/m/g)\n"
@@ -232,8 +233,8 @@ InspectJson(const std::string& path)
         raw_indices += std::to_string(c);
     }
     raw_indices += "]";
-    // mode=auto (v3) containers additionally report the per-chunk
-    // algorithm table and its per-algorithm histogram; fixed (v1)
+    // mode=auto (v5/v3) containers additionally report the per-chunk
+    // algorithm table and its per-algorithm histogram; fixed (v4/v1)
     // containers keep the original key set plus "mode": "fixed".
     std::string adaptive;
     if (info.adaptive) {
