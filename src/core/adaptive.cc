@@ -174,12 +174,18 @@ EncodeChunkAuto(ByteSpan chunk, bool& raw, uint8_t& algorithm_id,
         return chunk;
     }
 
+    // When every sampled delta is zero (a constant or near-constant
+    // chunk) the model has nothing to rank by: its per-pipeline overhead
+    // terms differ by more than the trial margin, yet the real outputs
+    // are all tiny and any pipeline may be smallest. Trial them all.
+    const bool flat = features.samples > 0 && features.min_lz32 == 32.0 &&
+                      features.min_lz64 == 64.0;
     bool raw_best = false;
     ByteSpan payload = encode(GetChunkPipeline(static_cast<Algorithm>(best)),
                               chunk, raw_best, scratch);
     uint8_t winner = best;
     raw = raw_best;
-    if (pred[order[1]] <= pred[best] * kTrialMargin) {
+    if (flat || pred[order[1]] <= pred[best] * kTrialMargin) {
         // Too close to trust the model: park the current winner's bytes
         // and let every in-margin candidate compete on actual output
         // size (each trial encode reuses the arena, so the winner must
@@ -189,7 +195,7 @@ EncodeChunkAuto(ByteSpan chunk, bool& raw, uint8_t& algorithm_id,
         size_t winner_size = raw ? chunk.size() : stash.size();
         for (int r = 1; r < 4; ++r) {
             const uint8_t cand = order[static_cast<size_t>(r)];
-            if (pred[cand] > pred[best] * kTrialMargin) break;
+            if (!flat && pred[cand] > pred[best] * kTrialMargin) break;
             bool raw_cand = false;
             const ByteSpan payload_cand =
                 encode(GetChunkPipeline(static_cast<Algorithm>(cand)),

@@ -24,9 +24,12 @@
  *  - BitmapLevel/BitmapKept belong to the bitmap codec
  *    (transforms/bitmap_codec.h). DecompressBitmap's result lives in a
  *    level slot and dies at the next bitmap-codec call on the same arena.
- *  - Retained() accumulates a thread's encoded payloads across chunks for
- *    the two-pass container assembly; only the executors' chunk drivers
- *    (via EncodePlan::Record in core/orchestrate.h) append to it.
+ *  - No arena holds encoded payloads between chunks: each chunk's
+ *    payload is copied out of the ping-pong buffers into its slot of
+ *    the call's one staging buffer (EncodePlan in core/orchestrate.h),
+ *    which the orchestrating thread allocates at the worst-case size,
+ *    n_chunks × kChunkSize. An arena's capacity is therefore a handful
+ *    of chunk-sized buffers whatever the input size.
  */
 #ifndef FPC_CORE_ARENA_H
 #define FPC_CORE_ARENA_H
@@ -85,18 +88,10 @@ class ScratchArena {
     /** Kept-bytes buffer of bitmap-codec level @p i. */
     Bytes& BitmapKept(size_t i);
 
-    /** Per-thread retained encode output (two-pass container assembly). */
-    Bytes& Retained() { return retained_; }
-
-    /** Reset the per-run state (retained payloads, decode budget) while
-     *  keeping every buffer's capacity — called when an arena is reused
-     *  for a new compress/decompress call (ArenaPool::Acquire). */
-    void
-    ResetForRun()
-    {
-        retained_.clear();
-        decode_budget_ = SIZE_MAX;
-    }
+    /** Reset the per-run state (the decode budget) while keeping every
+     *  buffer's capacity — called when an arena is reused for a new
+     *  compress/decompress call (ArenaPool::Acquire). */
+    void ResetForRun() { decode_budget_ = SIZE_MAX; }
 
     /** Adaptive-selection trial stash (core/adaptive.cc): parks one
      *  candidate's payload while a second candidate runs through the
@@ -153,7 +148,6 @@ class ScratchArena {
     std::vector<unsigned> histogram_;
     std::vector<Bytes> bitmap_levels_;
     std::vector<Bytes> bitmap_kept_;
-    Bytes retained_;
     Bytes trial_stash_;
     size_t decode_budget_ = SIZE_MAX;
     simd::Isa kernel_isa_ = simd::DefaultIsa();
@@ -214,8 +208,8 @@ class ArenaLease {
  * every request reuses the retained buffer capacities of earlier
  * requests instead of re-warming fresh arenas. Acquire/Release move
  * whole arenas (pointer swaps; the buffers never copy), and each
- * acquired arena is ResetForRun() so no request sees another's retained
- * payloads. Honoured by the cpu executor; the device backends keep
+ * acquired arena is ResetForRun() so no request inherits another's
+ * decode budget. Honoured by the cpu executor; the device backends keep
  * call-local arenas (they model device-resident scratch).
  */
 class ArenaPool {

@@ -51,7 +51,11 @@ Bytes Decompress(ByteSpan compressed, const Options& options = {});
  * Decompress into caller-owned memory. @p out must be exactly
  * original_size bytes (see Inspect); throws UsageError otherwise.
  * For the FCM-free algorithms the chunks are decoded directly into
- * @p out with no intermediate buffer.
+ * @p out with no intermediate buffer. Its prior contents are never read,
+ * so it may be uninitialised. A decode that throws (CorruptStreamError
+ * included: the content checksum is verified after the chunks land)
+ * leaves @p out's contents unspecified: some chunks may be written,
+ * others not.
  */
 void DecompressInto(ByteSpan compressed, std::span<std::byte> out,
                     const Options& options = {});
@@ -208,7 +212,8 @@ class Codec {
     Bytes decompress(ByteSpan compressed) const;
 
     /** Decompress into caller-owned memory of exactly original_size
-     *  bytes (throws UsageError otherwise). */
+     *  bytes (throws UsageError otherwise). As fpc::DecompressInto: a
+     *  decode that throws leaves @p out's contents unspecified. */
     void decompress_into(ByteSpan compressed,
                          std::span<std::byte> out) const;
 

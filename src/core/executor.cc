@@ -152,9 +152,9 @@ class CpuExecutor final : public Executor {
                                              scope.MainShard(), work);
 
         // Pass 1 (paper Section 3): chunks are dynamically claimed by
-        // threads; each encodes into its worker's arena-retained buffer —
-        // no allocations per chunk once the arenas are warm — and hashes
-        // its block of the input.
+        // threads; each encodes on its worker's arena — no allocations
+        // per chunk once the arenas are warm — stages its payload in the
+        // plan's slot for it, and hashes its block of the input.
         const size_t n_chunks = ChunkCountOf(chunk_src.size());
         EncodePlan plan(n_chunks, input.size());
         if (adaptive) plan.EnableAdaptive();
@@ -165,7 +165,7 @@ class CpuExecutor final : public Executor {
         scope.HintChunks(n_chunks);
         scope.Attach(arenas);
         const auto encode = [&](uint32_t worker, size_t c) {
-            EncodeChunkAt(spec, input, chunk_src, c, worker, arenas[worker],
+            EncodeChunkAt(spec, input, chunk_src, c, arenas[worker],
                           &EncodeChunk, plan);
         };
         if (std::exception_ptr error =
@@ -177,8 +177,8 @@ class CpuExecutor final : public Executor {
         const ContainerHeader header = MakeContainerHeader(
             algorithm, chunk_src.size(), plan, scope.MainShard());
         const WritePositions wp = ComputeWritePositions(plan.sizes);
-        Bytes out = AssembleContainer(header, plan, wp.offsets, wp.total,
-                                      arenas, threads);
+        Bytes out =
+            AssembleContainer(header, plan, wp.offsets, wp.total, threads);
         // Counters merge once, at the barrier — never on the chunk path.
         scope.Finish(arenas);
         return out;

@@ -52,7 +52,7 @@ ComputeWritePositions(const std::vector<uint32_t>& sizes)
 Bytes
 AssembleContainer(const ContainerHeader& header, const EncodePlan& plan,
                   std::span<const uint64_t> offsets, uint64_t total,
-                  std::span<ScratchArena> arenas, int threads)
+                  int threads)
 {
     const size_t n_chunks = plan.ChunkCount();
     FPC_CHECK(offsets.size() == n_chunks, "write-position count mismatch");
@@ -65,8 +65,8 @@ AssembleContainer(const ContainerHeader& header, const EncodePlan& plan,
     FPC_CHECK(out.size() == prefix_size, "container prefix size mismatch");
     out.resize(prefix_size + total);
 
-    // Each payload goes to its prefix-summed offset; chunks are disjoint,
-    // so placement parallelizes trivially.
+    // Each staged payload goes to its prefix-summed offset; chunks are
+    // disjoint, so placement parallelizes trivially.
     std::byte* payload_base = out.data() + prefix_size;
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) num_threads(std::max(threads, 1))
@@ -74,11 +74,10 @@ AssembleContainer(const ContainerHeader& header, const EncodePlan& plan,
     for (std::int64_t c = 0; c < static_cast<std::int64_t>(n_chunks); ++c) {
         FPC_CHECK(offsets[c] + plan.sizes[c] <= total,
                   "write position out of range");
-        if (plan.sizes[c] == 0) continue;
-        const EncodePlan::Ref& ref = plan.refs[c];
-        const Bytes& retained = arenas[ref.worker].Retained();
-        std::memcpy(payload_base + offsets[c], retained.data() + ref.offset,
-                    plan.sizes[c]);
+        const ByteSpan payload = plan.Payload(static_cast<size_t>(c));
+        if (payload.empty()) continue;
+        std::memcpy(payload_base + offsets[c], payload.data(),
+                    payload.size());
     }
     (void)threads;
     return out;
@@ -135,8 +134,8 @@ RecordPreStage(TelemetryShard& shard, uint8_t dir, StageId id,
 
 ChunkTimes
 EncodeChunkAt(const PipelineSpec& spec, ByteSpan input, ByteSpan chunk_src,
-              size_t c, uint32_t worker, ScratchArena& scratch,
-              ChunkEncodeFn encode, EncodePlan& plan)
+              size_t c, ScratchArena& scratch, ChunkEncodeFn encode,
+              EncodePlan& plan)
 {
     return TimeChunk(scratch, c, kTraceEncode, [&] {
         bool raw = false;
@@ -149,9 +148,9 @@ EncodeChunkAt(const PipelineSpec& spec, ByteSpan input, ByteSpan chunk_src,
         } else {
             payload = encode(spec, ChunkAt(chunk_src, c), raw, scratch);
         }
-        plan.Record(c, worker, payload, raw, scratch);
+        plan.Record(c, payload, raw);
         if (c * kChunkSize < plan.input_size) {
-            plan.refs[c].input_hash = ChecksumBlock(ChunkAt(input, c));
+            plan.input_hashes[c] = ChecksumBlock(ChunkAt(input, c));
         }
     });
 }

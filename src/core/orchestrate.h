@@ -21,6 +21,7 @@
 
 #include <exception>
 #include <functional>
+#include <memory>
 
 #include "core/arena.h"
 #include "core/container.h"
@@ -59,56 +60,72 @@ ChunkSlotAt(std::byte* dest, size_t transformed_size, size_t c)
 }
 
 /**
- * Pass-1 results of a parallel chunk encode: per-chunk stored size, raw
- * flag, and where the payload lives until assembly (the owning worker's
- * arena-retained buffer and the payload's offset within it), and the
- * ChecksumBlock of each 16 KiB block of the original input, kept with
- * the chunk of the same index. Workers fill
- * disjoint chunk indices, so no synchronisation is needed beyond the
- * scheduler's own join.
+ * Pass-1 results of a parallel chunk encode: per-chunk stored size and
+ * raw flag, the ChecksumBlock of each 16 KiB block of the original input
+ * (kept with the chunk of the same index), and the staging buffer that
+ * holds every payload until assembly. No payload exceeds its chunk (an
+ * expanding chunk is stored raw), so the paper's worst-case cap sizes
+ * the buffer: n_chunks × kChunkSize, one slot per chunk at
+ * c × kChunkSize. It is allocated once, uninitialised, by the thread
+ * that builds the plan; the worker that records a chunk is the first to
+ * touch its slot's pages, and pages past a short payload are never
+ * touched. Workers fill disjoint chunk indices, so no synchronisation is
+ * needed beyond the scheduler's own join.
  */
 struct EncodePlan {
-    struct Ref {
-        uint32_t worker = 0;
-        size_t offset = 0;
-        /** ChecksumBlock of input block c, for the chunk c that hashes
-         *  it (EncodeChunkAt). */
-        uint64_t input_hash = 0;
-    };
-
     /** A plan for @p n_chunks chunks of an @p input_size-byte input.
      *  Block b of the input is hashed with chunk b; a whole-input
      *  pre-stage only ever expands its input, so every block has one.
      *  With @p input_size 0 nothing is hashed, for callers that build
      *  the header's checksum themselves. */
     explicit EncodePlan(size_t n_chunks, size_t input_size = 0)
-        : raw_flags(n_chunks, 0), sizes(n_chunks, 0), refs(n_chunks),
-          input_size(input_size)
+        : raw_flags(n_chunks, 0), sizes(n_chunks, 0),
+          input_hashes(n_chunks, 0), input_size(input_size),
+          staging_(std::make_unique_for_overwrite<std::byte[]>(
+              n_chunks * kChunkSize))
     {
         FPC_CHECK(ChunkCountOf(input_size) <= n_chunks,
                   "input has more checksum blocks than chunks");
     }
 
-    /** Record chunk @p c's encoded @p payload: appends it to @p scratch's
-     *  retained buffer (which must belong to @p worker) and notes the
-     *  (worker, offset, size, raw) tuple for pass 2. */
+    /** Record chunk @p c's encoded @p payload: copy it into the chunk's
+     *  staging slot and note its size and raw flag for pass 2. */
     void
-    Record(size_t c, uint32_t worker, ByteSpan payload, bool raw,
-           ScratchArena& scratch)
+    Record(size_t c, ByteSpan payload, bool raw)
     {
+        FPC_CHECK(payload.size() <= kChunkSize,
+                  "chunk payload larger than its staging slot");
         raw_flags[c] = raw ? 1 : 0;
         sizes[c] = static_cast<uint32_t>(payload.size());
-        Bytes& retained = scratch.Retained();
-        refs[c].worker = worker;
-        refs[c].offset = retained.size();
-        AppendBytes(retained, payload);
+        if (!payload.empty()) {
+            std::memcpy(staging_.get() + c * kChunkSize, payload.data(),
+                        payload.size());
+        }
+    }
+
+    /** Record() as fpc_bench's serial replay calls it: the worker and
+     *  its arena no longer hold the payload, so both are ignored. */
+    void
+    Record(size_t c, uint32_t /*worker*/, ByteSpan payload, bool raw,
+           ScratchArena& /*scratch*/)
+    {
+        Record(c, payload, raw);
+    }
+
+    /** Chunk @p c's recorded payload, in its staging slot. */
+    ByteSpan
+    Payload(size_t c) const
+    {
+        return {staging_.get() + c * kChunkSize, sizes[c]};
     }
 
     size_t ChunkCount() const { return sizes.size(); }
 
     std::vector<uint8_t> raw_flags;
     std::vector<uint32_t> sizes;
-    std::vector<Ref> refs;
+    /** ChecksumBlock of input block c, stored by the chunk c that hashes
+     *  it (EncodeChunkAt). */
+    std::vector<uint64_t> input_hashes;
     /** Per-chunk algorithm ids of an adaptive (mode=auto) encode, filled
      *  by the scheduler next to each Record call; sized by
      *  EnableAdaptive, empty for fixed-algorithm encodes. */
@@ -125,10 +142,13 @@ struct EncodePlan {
     {
         uint64_t h = ChecksumSeed(input_size);
         for (size_t b = 0; b < ChunkCountOf(input_size); ++b) {
-            h = ChecksumFold(h, refs[b].input_hash);
+            h = ChecksumFold(h, input_hashes[b]);
         }
         return h;
     }
+
+ private:
+    std::unique_ptr<std::byte[]> staging_;
 };
 
 /** The pre-stage-free algorithm of @p algorithm's element width —
@@ -173,17 +193,15 @@ struct ChunkTimes {
 /**
  * The per-chunk encode body both compress loops run: encode chunk @p c
  * of @p chunk_src through @p encode — with @p spec, or by
- * EncodeChunkAuto's per-chunk selection when @p plan is adaptive —
- * record the payload in @p plan as @p worker's (@p scratch is that
- * worker's arena), hash block @p c of @p input (the original data, which
- * is @p chunk_src unless a pre-stage ran) into plan.refs[c], and
- * record the chunk's latency and kChunk span in the arena's telemetry
- * shard.
+ * EncodeChunkAuto's per-chunk selection when @p plan is adaptive — on
+ * the calling worker's arena @p scratch, stage the payload in @p plan,
+ * hash block @p c of @p input (the original data, which is @p chunk_src
+ * unless a pre-stage ran) into plan.input_hashes[c], and record the
+ * chunk's latency and kChunk span in the arena's telemetry shard.
  */
 ChunkTimes EncodeChunkAt(const PipelineSpec& spec, ByteSpan input,
-                         ByteSpan chunk_src, size_t c, uint32_t worker,
-                         ScratchArena& scratch, ChunkEncodeFn encode,
-                         EncodePlan& plan);
+                         ByteSpan chunk_src, size_t c, ScratchArena& scratch,
+                         ChunkEncodeFn encode, EncodePlan& plan);
 
 /**
  * The per-chunk decode body of every decode loop (both executors and
@@ -224,8 +242,8 @@ struct WritePositions {
 WritePositions ComputeWritePositions(const std::vector<uint32_t>& sizes);
 
 /**
- * Pass 2: write the container prefix (header + chunk table), then place
- * every retained payload at its prefix-summed offset. Placement is
+ * Pass 2: write the container prefix (header + chunk table), then copy
+ * every staged payload to its prefix-summed offset. Placement is
  * embarrassingly parallel; @p threads > 1 distributes the memcpys (pass 0
  * or 1 for serial placement). The result is byte-identical regardless of
  * @p threads or of which scheduler produced @p plan — that is the
@@ -234,7 +252,17 @@ WritePositions ComputeWritePositions(const std::vector<uint32_t>& sizes);
 Bytes AssembleContainer(const ContainerHeader& header,
                         const EncodePlan& plan,
                         std::span<const uint64_t> offsets, uint64_t total,
-                        std::span<ScratchArena> arenas, int threads);
+                        int threads);
+
+/** AssembleContainer() as fpc_bench's serial replay calls it: the
+ *  payloads live in @p plan, so its workers' arenas are ignored. */
+inline Bytes
+AssembleContainer(const ContainerHeader& header, const EncodePlan& plan,
+                  std::span<const uint64_t> offsets, uint64_t total,
+                  std::span<ScratchArena> /*arenas*/, int threads)
+{
+    return AssembleContainer(header, plan, offsets, total, threads);
+}
 
 /** Executor hook: decode every chunk of @p view into @p dest, which is
  *  sized view.header.transformed_size, each through DecodeChunkAt with

@@ -133,7 +133,11 @@ struct TelemetryShard {
     uint64_t chunks_decoded = 0;
     uint64_t mplg_subchunks = 0;  ///< MPLG subchunks seen on encode
     uint64_t mplg_enhanced = 0;   ///< subchunks that took the retry path
-    uint64_t arena_high_water_bytes = 0;  ///< max arena capacity observed
+    /** Max ScratchArena::CapacityBytes observed: one worker's scratch.
+     *  It excludes the compress call's staging buffer (EncodePlan, the
+     *  orchestrating thread's allocation of n_chunks × kChunkSize that
+     *  holds the staged payloads) and every input or output buffer. */
+    uint64_t arena_high_water_bytes = 0;
     /** Adaptive (mode=auto) selection counters (core/adaptive.cc). In an
      *  auto run, chunks_encoded counts encode *attempts* — each margin
      *  trial adds one — so chunks_encoded = chunks + adaptive_trials. */

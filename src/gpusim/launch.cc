@@ -122,11 +122,10 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
     // write position by looking back.
     device.Launch(n_chunks, [&](ThreadBlock& block) {
         const size_t c = block.BlockId();
-        const auto worker = static_cast<uint32_t>(LaunchWorkerId());
-        ScratchArena& scratch = arenas[worker];
-        const ChunkTimes times =
-            EncodeChunkAt(spec, input, chunk_src, c, worker, scratch,
-                          &EncodeChunkDevice, plan);
+        ScratchArena& scratch = arenas[LaunchWorkerId()];
+        const ChunkTimes times = EncodeChunkAt(spec, input, chunk_src, c,
+                                               scratch, &EncodeChunkDevice,
+                                               plan);
         lookback.PublishAggregate(c, plan.sizes[c]);
         offsets[c] = lookback.ResolvePrefix(c);
         TelemetryShard* shard = scratch.Telemetry();
@@ -143,7 +142,7 @@ CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
     for (uint32_t size : plan.sizes) total += size;
     // Placement at the look-back-resolved positions; bytes are identical
     // to the CPU executor's prefix-sum placement (tests assert).
-    Bytes out = AssembleContainer(header, plan, offsets, total, arenas,
+    Bytes out = AssembleContainer(header, plan, offsets, total,
                                   /*threads=*/1);
     scope.Finish(arenas);
     return out;

@@ -6,7 +6,8 @@
  *  - round-trips of mixed-content inputs whose chunks want different
  *    pipelines, on both backends, with bit-identical v3 containers;
  *  - the acceptance bar: auto's geo-mean ratio over the mixed corpus is
- *    at least that of every fixed pipeline of the same element width;
+ *    at least that of every fixed pipeline of the same element width,
+ *    and on constant input it is within the id table of the best one;
  *  - the chunked DPratio pipeline (per-chunk FCM) round-trips through
  *    EncodeChunk/DecodeChunk directly, for every algorithm id;
  *  - probe/selection determinism, Options::with_mode and Mode::kAuto
@@ -190,6 +191,29 @@ TEST(AdaptiveSelect, RatioAtLeastEveryFixedPipeline)
                 .ratio;
         EXPECT_GE(auto_dp, ratio) << "auto-DP loses to "
                                   << AlgorithmName(fixed);
+    }
+}
+
+/** A constant chunk gives the probe only zero deltas, so the model has
+ *  nothing to rank the pipelines by; auto then trial-encodes all four.
+ *  On 4 MiB of 0.0 it must come within its id table (one byte per
+ *  chunk) of the best fixed pipeline, at either element width. */
+TEST(AdaptiveSelect, ConstantChunksTrialEveryPipeline)
+{
+    const Bytes zeros(size_t{4} << 20);
+    const size_t n_chunks = zeros.size() / kChunkSize;
+    size_t best_fixed = SIZE_MAX;
+    for (Algorithm fixed : {Algorithm::kSPspeed, Algorithm::kSPratio,
+                            Algorithm::kDPspeed, Algorithm::kDPratio}) {
+        best_fixed =
+            std::min(best_fixed, Compress(fixed, ByteSpan(zeros)).size());
+    }
+    for (Algorithm width : {Algorithm::kSPspeed, Algorithm::kDPspeed}) {
+        const Bytes packed = Compress(width, ByteSpan(zeros),
+                                      Options{}.with_mode("auto"));
+        EXPECT_LE(packed.size(), best_fixed + n_chunks)
+            << "auto at " << AlgorithmName(width) << "'s width";
+        EXPECT_EQ(Decompress(ByteSpan(packed)), zeros);
     }
 }
 

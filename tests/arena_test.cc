@@ -4,7 +4,8 @@
  * a thread's arena is warm, EncodeChunk and DecodeChunk perform zero heap
  * allocations per chunk. The test replaces global operator new/delete
  * with counting versions and measures the allocation delta across a
- * steady-state chunk loop for every algorithm.
+ * steady-state chunk loop for every algorithm, and across whole
+ * call-local Compress calls of different chunk counts.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <new>
 
 #include "core/arena.h"
+#include "core/codec.h"
 #include "core/pipeline.h"
 
 namespace {
@@ -216,6 +218,61 @@ TEST(ArenaTest, CapacityIsBoundedAndReported)
     // The arena holds a handful of chunk-sized buffers, not the input.
     EXPECT_GT(scratch.CapacityBytes(), 0u);
     EXPECT_LT(scratch.CapacityBytes(), 64 * kChunkSize);
+}
+
+/** Heap allocations made by one call-local Compress (fresh arenas, no
+ *  pool) of @p input at @p threads; the result is still alive, so its
+ *  own allocation is counted. */
+size_t
+CompressAllocations(Algorithm algorithm, const Bytes& input, int threads)
+{
+    const Options options = Options{}.with_threads(threads);
+    const size_t before = g_alloc_count.load();
+    const Bytes out = Compress(algorithm, ByteSpan(input), options);
+    const size_t delta = g_alloc_count.load() - before;
+    EXPECT_FALSE(out.empty());
+    return delta;
+}
+
+/** @p n_chunks copies of one SmoothChunks(1) chunk. */
+Bytes
+RepeatedChunk(size_t n_chunks)
+{
+    const Bytes chunk = SmoothChunks(1);
+    Bytes data;
+    data.reserve(n_chunks * kChunkSize);
+    for (size_t c = 0; c < n_chunks; ++c) AppendBytes(data, chunk);
+    return data;
+}
+
+TEST(ArenaTest, CompressAllocationsDoNotGrowWithChunkCount)
+{
+    // Payloads are staged in one buffer the calling thread allocates, so
+    // a call's allocations are its plan, its arenas' warm-up and its
+    // result: none of them grows with the chunk count. A fresh arena's
+    // buffers grow to the largest stage output they have seen, which
+    // depends on the data, not on the count; one chunk repeated keeps
+    // that warm-up the same at every count. DPratio is left out: its
+    // chunks are FCM output, which differs along even a repeating input,
+    // so its warm-up varies with the chunks each worker claims.
+    //
+    // One thread, so the count is exact: with more, a worker that a
+    // loaded machine starves through the whole call claims no chunk and
+    // skips its arena's warm-up, and that saving is as large as the
+    // growth this test looks for. (Per-worker staging would grow at
+    // every thread count; the multi-thread bytes are pinned by
+    // determinism_test.)
+    const Bytes c64 = RepeatedChunk(64);
+    const Bytes c1024 = RepeatedChunk(1024);
+    for (Algorithm algorithm :
+         {Algorithm::kSPspeed, Algorithm::kSPratio, Algorithm::kDPspeed}) {
+        SCOPED_TRACE(AlgorithmName(algorithm));
+        // Warm the process-wide state (registries, statics) first.
+        CompressAllocations(algorithm, c64, 1);
+        const size_t at_64 = CompressAllocations(algorithm, c64, 1);
+        const size_t at_1024 = CompressAllocations(algorithm, c1024, 1);
+        EXPECT_EQ(at_1024, at_64) << "1024 chunks against 64";
+    }
 }
 
 }  // namespace

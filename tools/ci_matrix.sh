@@ -118,6 +118,31 @@ if peak >= cap:
     sys.exit("large-file smoke: peak RSS reached half the stream size")
 EOF
 cmp "${large_dir}/input.bin" "${large_dir}/restored.bin"
+# Compress-side peak RSS: a one-shot container compress of the same
+# input on every core. It holds the input, one staging buffer (every
+# chunk of this incompressible input is stored raw, so each 16 KiB slot
+# fills: 1x the input) and the container (1x the input), plus fixed
+# slack: the bound is 3x the input + 64 MiB, 880 MiB here. Measured on a
+# 4-vCPU x86-64 host: 820 MiB. A second touched copy of the payloads
+# would cross it. RSS counts touched pages only, so a per-worker
+# reservation that each worker fills only in part would not.
+python3 - "${out}/default/fpczip" "${large_dir}" <<'EOF'
+import os, resource, subprocess, sys
+fpczip, work = sys.argv[1], sys.argv[2]
+size = os.path.getsize(f"{work}/input.bin")
+rc = subprocess.run([fpczip, "-c", "-a", "SPspeed", f"{work}/input.bin",
+                     f"{work}/oneshot.fpcz"]).returncode
+if rc != 0:
+    sys.exit(f"compress RSS check: fpczip -c exited {rc}")
+peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+cap = 3 * size + (64 << 20)
+print(f"compress RSS check: peak RSS {peak // 1048576} MiB "
+      f"(cap {cap // 1048576} MiB, input {size // 1048576} MiB)")
+if peak >= cap:
+    sys.exit("compress RSS check: peak RSS above input + staging + "
+             "container + 64 MiB")
+EOF
+rm -f "${large_dir}/oneshot.fpcz"
 # Ranged read out of the middle (1 MiB of floats), checked byte-for-byte
 # against the same slice of the input, with the ranged telemetry block
 # validated by the schema checker.
