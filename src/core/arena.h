@@ -131,9 +131,9 @@ class ScratchArena {
 
     /**
      * Kernel ISA level the transforms dispatch on (util/simd.h). Arenas
-     * are born at the process default, so standalone transform calls and
-     * the gpusim backend follow FPC_FORCE_SCALAR / SetDefaultIsa with no
-     * plumbing; the cpu executor overrides it per call from
+     * are born at the process default, so standalone transform calls
+     * follow FPC_FORCE_SCALAR / SetDefaultIsa with no plumbing; the
+     * drivers (core/orchestrate.h) set it per call on every backend from
      * Options::with_isa (core/executor.cc ResolveIsa).
      */
     simd::Isa KernelIsa() const { return kernel_isa_; }
@@ -209,8 +209,7 @@ class ArenaLease {
  * requests instead of re-warming fresh arenas. Acquire/Release move
  * whole arenas (pointer swaps; the buffers never copy), and each
  * acquired arena is ResetForRun() so no request inherits another's
- * decode budget. Honoured by the cpu executor; the device backends keep
- * call-local arenas (they model device-resident scratch).
+ * decode budget. The drivers lease every backend's arenas from it.
  */
 class ArenaPool {
  public:

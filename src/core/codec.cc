@@ -1,7 +1,5 @@
 #include "core/codec.h"
 
-#include <optional>
-
 #include "core/container.h"
 #include "core/executor.h"
 #include "core/orchestrate.h"
@@ -30,153 +28,6 @@ CheckElementSize(ByteSpan compressed, size_t element_size,
     }
 }
 
-/** Algorithm (and adaptive flag) recorded in a container's header, for
- *  telemetry context. Returns nullopt instead of throwing so the
- *  executor's own parse keeps sole ownership of corrupt-stream error
- *  reporting. */
-struct HeaderContext {
-    Algorithm algorithm;
-    bool adaptive;
-};
-std::optional<HeaderContext>
-HeaderAlgorithm(ByteSpan compressed)
-{
-    try {
-        const ContainerHeader h = ParseContainer(compressed).header;
-        return HeaderContext{static_cast<Algorithm>(h.algorithm),
-                             h.Adaptive()};
-    } catch (...) {
-        return std::nullopt;
-    }
-}
-
-/** Algorithm label of a run — "auto" for adaptive containers, the fixed
- *  algorithm's name otherwise, nullptr when the header did not parse. */
-const char*
-ContextAlgorithmName(const std::optional<HeaderContext>& context)
-{
-    if (!context.has_value()) return nullptr;
-    return context->adaptive ? "auto" : AlgorithmName(context->algorithm);
-}
-
-/** Run-span label: "compress SPspeed@cpu", "decompress auto@gpusim". */
-std::string
-RunLabel(const char* verb, const char* algorithm_name,
-         const Executor& executor)
-{
-    std::string label = verb;
-    if (algorithm_name != nullptr) {
-        label += ' ';
-        label += algorithm_name;
-    }
-    label += '@';
-    label += executor.Name();
-    return label;
-}
-
-/** Kernel ISA the run dispatches: Options::with_isa is honoured by the
- *  cpu executor; every other backend's arenas take the process default. */
-const char*
-RunIsaName(const Executor& executor, const Options& options)
-{
-    return simd::IsaName(executor.Name() == "cpu" ? ResolveIsa(options)
-                                                  : simd::DefaultIsa());
-}
-
-}  // namespace
-
-// Run totals and run spans are recorded here — the single spot every
-// executor's calls funnel through — so per-backend code never repeats
-// the bookkeeping.
-
-Bytes
-Compress(Algorithm algorithm, ByteSpan input, const Options& options)
-{
-    const Executor& executor = ResolveExecutor(options);
-    Telemetry* sink = SinkOf(options);
-    TraceSink* trace = TraceOf(options);
-    if (sink == nullptr && trace == nullptr) {
-        return executor.Compress(algorithm, input, options);
-    }
-    const char* algorithm_name =
-        options.adaptive ? "auto" : AlgorithmName(algorithm);
-    if (sink != nullptr) {
-        sink->SetContext(executor.Name(), std::string(algorithm_name),
-                         RunIsaName(executor, options));
-    }
-    const uint64_t t0 = TelemetryNowNs();
-    Bytes out = executor.Compress(algorithm, input, options);
-    const uint64_t t1 = TelemetryNowNs();
-    if (sink != nullptr) sink->AddCompress(input.size(), out.size(), t1 - t0);
-    if (trace != nullptr) {
-        trace->RecordRun(kTraceEncode,
-                         RunLabel("compress", algorithm_name, executor), t0,
-                         t1);
-    }
-    return out;
-}
-
-Bytes
-Decompress(ByteSpan compressed, const Options& options)
-{
-    const Executor& executor = ResolveExecutor(options);
-    Telemetry* sink = SinkOf(options);
-    TraceSink* trace = TraceOf(options);
-    if (sink == nullptr && trace == nullptr) {
-        return executor.Decompress(compressed, options);
-    }
-    const uint64_t t0 = TelemetryNowNs();
-    Bytes out = executor.Decompress(compressed, options);
-    const uint64_t t1 = TelemetryNowNs();
-    const std::optional<HeaderContext> context = HeaderAlgorithm(compressed);
-    const char* algorithm_name = ContextAlgorithmName(context);
-    if (sink != nullptr) {
-        sink->AddDecompress(compressed.size(), out.size(), t1 - t0);
-        if (algorithm_name != nullptr) {
-            sink->SetContext(executor.Name(), std::string(algorithm_name),
-                             RunIsaName(executor, options));
-        }
-    }
-    if (trace != nullptr) {
-        trace->RecordRun(kTraceDecode,
-                         RunLabel("decompress", algorithm_name, executor),
-                         t0, t1);
-    }
-    return out;
-}
-
-void
-DecompressInto(ByteSpan compressed, std::span<std::byte> out,
-               const Options& options)
-{
-    const Executor& executor = ResolveExecutor(options);
-    Telemetry* sink = SinkOf(options);
-    TraceSink* trace = TraceOf(options);
-    if (sink == nullptr && trace == nullptr) {
-        executor.DecompressInto(compressed, out, options);
-        return;
-    }
-    const uint64_t t0 = TelemetryNowNs();
-    executor.DecompressInto(compressed, out, options);
-    const uint64_t t1 = TelemetryNowNs();
-    const std::optional<HeaderContext> context = HeaderAlgorithm(compressed);
-    const char* algorithm_name = ContextAlgorithmName(context);
-    if (sink != nullptr) {
-        sink->AddDecompress(compressed.size(), out.size(), t1 - t0);
-        if (algorithm_name != nullptr) {
-            sink->SetContext(executor.Name(), std::string(algorithm_name),
-                             RunIsaName(executor, options));
-        }
-    }
-    if (trace != nullptr) {
-        trace->RecordRun(kTraceDecode,
-                         RunLabel("decompress", algorithm_name, executor),
-                         t0, t1);
-    }
-}
-
-namespace {
-
 /** Frame body bytes: a zero-copy view when the source supports one, a
  *  ReadAt copy into @p staging otherwise. */
 ByteSpan
@@ -192,6 +43,29 @@ FrameBytes(const ByteSource& source, uint64_t offset, uint64_t size,
 
 }  // namespace
 
+// The drivers in core/orchestrate.h run every call on the resolved
+// backend and record its run totals and spans, so no entry point or
+// backend repeats the bookkeeping.
+
+Bytes
+Compress(Algorithm algorithm, ByteSpan input, const Options& options)
+{
+    return CompressOn(ResolveExecutor(options), algorithm, input, options);
+}
+
+Bytes
+Decompress(ByteSpan compressed, const Options& options)
+{
+    return DecompressOn(ResolveExecutor(options), compressed, options);
+}
+
+void
+DecompressInto(ByteSpan compressed, std::span<std::byte> out,
+               const Options& options)
+{
+    DecompressOn(ResolveExecutor(options), compressed, options, out);
+}
+
 namespace detail {
 
 Bytes
@@ -201,7 +75,6 @@ DecompressRange(const ByteSource& source, uint64_t first_value,
 {
     const Executor& executor = ResolveExecutor(options);
     Telemetry* sink = SinkOf(options);
-    TraceSink* trace = TraceOf(options);
     const ByteSourceStats io_before = source.Stats();
     const uint64_t t0 = TelemetryNowNs();
 
@@ -223,7 +96,7 @@ DecompressRange(const ByteSource& source, uint64_t first_value,
     delta.calls = 1;
     delta.elements = count;
     if (layout.from_index) delta.index_hits = 1;
-    std::optional<HeaderContext> run_context;
+    const char* run_algorithm = nullptr;  // from the last covering frame
     size_t word = 0;
 
     if (count > 0) {
@@ -261,7 +134,7 @@ DecompressRange(const ByteSource& source, uint64_t first_value,
                     frame.element_count * frame_word,
                 "seek index disagrees with frame header", "seek-index",
                 static_cast<size_t>(frame.frame_offset));
-            run_context = HeaderContext{algorithm, prefix.header.Adaptive()};
+            run_algorithm = RunAlgorithmName(prefix.header);
 
             // Frame-local element range covered by [first, first+count).
             const uint64_t frame_first =
@@ -284,7 +157,9 @@ DecompressRange(const ByteSource& source, uint64_t first_value,
                 // byte: decode the full frame, then slice.
                 ByteSpan body = FrameBytes(source, frame.frame_offset,
                                            frame.frame_size, staging);
-                Bytes whole = executor.Decompress(body, options);
+                const Bytes whole = DecompressOn(executor, body, options,
+                                                 std::nullopt,
+                                                 /*record_run=*/false);
                 AppendBytes(out, ByteSpan(whole).subspan(
                                      static_cast<size_t>(lo_b),
                                      static_cast<size_t>(hi_b - lo_b)));
@@ -314,7 +189,7 @@ DecompressRange(const ByteSource& source, uint64_t first_value,
                 Bytes buf(ChunkRangeBytes(
                     static_cast<size_t>(prefix.header.transformed_size),
                     first_chunk, chunk_end));
-                executor.DecodeChunks(sub, spec, buf.data(), options);
+                DecodeChunkRange(executor, sub, spec, buf.data(), options);
                 const uint64_t base =
                     static_cast<uint64_t>(first_chunk) * kChunkSize;
                 AppendBytes(out, ByteSpan(buf).subspan(
@@ -333,19 +208,9 @@ DecompressRange(const ByteSource& source, uint64_t first_value,
         delta.io_reads = io_after.reads - io_before.reads;
         delta.io_bytes = io_after.bytes - io_before.bytes;
         sink->AddRangedRead(delta);
-        if (run_context.has_value()) {
-            sink->SetContext(executor.Name(),
-                             std::string(ContextAlgorithmName(run_context)),
-                             RunIsaName(executor, options));
-        }
     }
-    if (trace != nullptr) {
-        trace->RecordRun(kTraceDecode,
-                         RunLabel("decompress-range",
-                                  ContextAlgorithmName(run_context),
-                                  executor),
-                         t0, t1);
-    }
+    RecordRun(executor, options, "decompress-range", kTraceDecode,
+              run_algorithm, t0, t1);
     return out;
 }
 

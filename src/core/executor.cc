@@ -3,14 +3,8 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
-#include <exception>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "core/orchestrate.h"
-#include "core/telemetry.h"
 #include "gpusim/launch.h"
 
 namespace fpc {
@@ -50,73 +44,41 @@ ResolveIsa(const Options& options)
 
 namespace {
 
-int
-EffectiveThreads(const Options& options)
-{
-#ifdef _OPENMP
-    return options.threads > 0 ? options.threads : omp_get_max_threads();
-#else
-    (void)options;
-    return 1;
-#endif
-}
-
-/** Index of the calling worker within the current parallel region. */
-int
-WorkerId()
-{
-#ifdef _OPENMP
-    return omp_get_thread_num();
-#else
-    return 0;
-#endif
-}
-
 /**
- * The CPU chunk loop: @p threads workers claim chunk indices from one
- * shared atomic cursor and run @p chunk(worker, c) on each. The first
- * exception stops all claiming and is returned once every worker has
- * joined.
+ * The cpu chunk loop: one OpenMP worker per arena claims chunk indices
+ * from one shared atomic cursor and runs @p chunk(arena, c) on each,
+ * with its own arena.
+ * The first exception stops all claiming and is rethrown once every
+ * worker has joined.
  */
 template <typename ChunkFn>
-std::exception_ptr
-ClaimChunks(int threads, size_t n_chunks, const ChunkFn& chunk)
+void
+ClaimChunks(std::span<ScratchArena> arenas, size_t n_chunks,
+            const ChunkFn& chunk)
 {
     std::atomic<size_t> cursor{0};
-    std::atomic<bool> failed{false};
-    std::exception_ptr first_error;
+    FirstFailure failure;
 #ifdef _OPENMP
-#pragma omp parallel num_threads(threads)
+#pragma omp parallel num_threads(static_cast<int>(arenas.size()))
 #endif
     {
-        const auto worker = static_cast<uint32_t>(WorkerId());
-        try {
-            while (!failed.load(std::memory_order_relaxed)) {
+        ScratchArena& arena = arenas[TeamWorkerId()];
+        failure.Run([&] {
+            while (!failure.Failed()) {
                 const size_t c =
                     cursor.fetch_add(1, std::memory_order_relaxed);
                 if (c >= n_chunks) break;
-                chunk(worker, c);
+                chunk(arena, c);
             }
-        } catch (...) {
-#ifdef _OPENMP
-#pragma omp critical
-#endif
-            {
-                if (!failed.exchange(true)) {
-                    first_error = std::current_exception();
-                }
-            }
-        }
+        });
     }
-    (void)threads;
-    return first_error;
+    failure.Rethrow();
 }
 
 /**
- * The paper's CPU implementation: chunks claimed dynamically by OpenMP
- * threads (Options::threads), per-thread scratch arenas, each chunk's
- * block of the content checksum hashed by the worker that owns the chunk,
- * and the two-pass prefix-sum container assembly from core/orchestrate.h.
+ * The paper's CPU implementation: chunks claimed dynamically by
+ * Options::threads OpenMP threads (all by default), each on its own
+ * arena, and exclusive-prefix-sum write positions.
  */
 class CpuExecutor final : public Executor {
  public:
@@ -134,122 +96,44 @@ class CpuExecutor final : public Executor {
                 .profile = nullptr};
     }
 
-    Bytes
-    Compress(Algorithm algorithm, ByteSpan input,
-             const Options& options) const override
+    size_t
+    Workers(const Options& options) const override
     {
-        const PipelineSpec& spec = GetPipeline(algorithm);
-        const int threads = EffectiveThreads(options);
-        TelemetryRunScope scope(SinkOf(options), TraceOf(options),
-                                static_cast<size_t>(threads));
-
-        // Whole-input pre-stage (FCM); algorithms without one chunk the
-        // input in place — no staging copy.
-        const bool adaptive = options.adaptive;
-        const simd::Isa isa = ResolveIsa(options);
-        Bytes work;
-        const ByteSpan chunk_src = PreEncode(spec, input, adaptive, isa,
-                                             scope.MainShard(), work);
-
-        // Pass 1 (paper Section 3): chunks are dynamically claimed by
-        // threads; each encodes on its worker's arena — no allocations
-        // per chunk once the arenas are warm — stages its payload in the
-        // plan's slot for it, and hashes its block of the input.
-        const size_t n_chunks = ChunkCountOf(chunk_src.size());
-        EncodePlan plan(n_chunks, input.size());
-        if (adaptive) plan.EnableAdaptive();
-        ArenaLease lease =
-            AcquireScratch(options.arenas, static_cast<size_t>(threads));
-        std::span<ScratchArena> arenas = lease.Span();
-        for (ScratchArena& arena : arenas) arena.SetKernelIsa(isa);
-        scope.HintChunks(n_chunks);
-        scope.Attach(arenas);
-        const auto encode = [&](uint32_t worker, size_t c) {
-            EncodeChunkAt(spec, input, chunk_src, c, arenas[worker],
-                          &EncodeChunk, plan);
-        };
-        if (std::exception_ptr error =
-                ClaimChunks(threads, n_chunks, encode)) {
-            scope.Finish(arenas);
-            std::rethrow_exception(error);
-        }
-
-        const ContainerHeader header = MakeContainerHeader(
-            algorithm, chunk_src.size(), plan, scope.MainShard());
-        const WritePositions wp = ComputeWritePositions(plan.sizes);
-        Bytes out =
-            AssembleContainer(header, plan, wp.offsets, wp.total, threads);
-        // Counters merge once, at the barrier — never on the chunk path.
-        scope.Finish(arenas);
-        return out;
+        return options.threads > 0 ? static_cast<size_t>(options.threads)
+                                   : TeamSize();
     }
 
-    Bytes
-    Decompress(ByteSpan compressed, const Options& options) const override
+    WritePositions
+    EncodeChunks(const PipelineSpec& spec, ByteSpan input, ByteSpan chunk_src,
+                 EncodePlan& plan,
+                 std::span<ScratchArena> arenas) const override
     {
-        return RunDecompress(compressed, DecodeChunks(options),
-                             PreDecode(options), TraceOf(options));
-    }
-
-    void
-    DecompressInto(ByteSpan compressed, std::span<std::byte> out,
-                   const Options& options) const override
-    {
-        RunDecompressInto(compressed, out, DecodeChunks(options),
-                          PreDecode(options), TraceOf(options));
+        ClaimChunks(arenas, plan.ChunkCount(),
+                    [&](ScratchArena& arena, size_t c) {
+                        EncodeChunkAt(spec, input, chunk_src, c, arena,
+                                      &EncodeChunk, plan);
+                    });
+        return ComputeWritePositions(plan.sizes);
     }
 
     void
     DecodeChunks(const ContainerView& view, const PipelineSpec& spec,
-                 std::byte* dest, const Options& options) const override
+                 std::byte* dest, uint64_t* block_hashes,
+                 std::span<ScratchArena> arenas) const override
     {
-        DecodeChunks(options)(view, spec, dest, nullptr);
-    }
-
- private:
-    /** Chunk decode hook: shared-cursor loop, one arena per worker, the
-     *  last pipeline stage writing straight into the chunk's slot, which
-     *  the same worker then hashes into @p block_hashes when given. */
-    static DecodeChunksFn
-    DecodeChunks(const Options& options)
-    {
-        return [options](const ContainerView& view, const PipelineSpec& spec,
-                         std::byte* dest, uint64_t* block_hashes) {
-            const size_t n_chunks = view.header.chunk_count;
-            const int threads = EffectiveThreads(options);
-            ArenaLease lease = AcquireScratch(options.arenas,
-                                              static_cast<size_t>(threads));
-            std::span<ScratchArena> arenas = lease.Span();
-            const simd::Isa isa = ResolveIsa(options);
-            for (ScratchArena& arena : arenas) arena.SetKernelIsa(isa);
-            TelemetryRunScope scope(SinkOf(options), TraceOf(options),
-                                    static_cast<size_t>(threads));
-            scope.HintChunks(n_chunks);
-            scope.Attach(arenas);
-            const auto decode = [&](uint32_t worker, size_t c) {
-                DecodeChunkAt(view, spec, c, dest, arenas[worker],
-                              &DecodeChunk, block_hashes);
-            };
-            const std::exception_ptr error =
-                ClaimChunks(threads, n_chunks, decode);
-            scope.Finish(arenas);
-            if (error) RethrowAsCorrupt(error);
-        };
-    }
-
-    static PreDecodeFn
-    PreDecode(const Options& options)
-    {
-        return PreDecodeHook(SinkOf(options), TraceOf(options),
-                             ResolveIsa(options));
+        ClaimChunks(arenas, view.header.chunk_count,
+                    [&](ScratchArena& arena, size_t c) {
+                        DecodeChunkAt(view, spec, c, dest, arena,
+                                      &DecodeChunk, block_hashes);
+                    });
     }
 };
 
 /**
- * One simulated-GPU backend per device profile: whole-buffer compression
- * through the grid launch in gpusim/launch.cc (persistent thread blocks,
- * decoupled look-back write positions). A fresh Device is constructed per
- * call so concurrent calls do not share scheduling state.
+ * One simulated-GPU backend per device profile: the grid launch in
+ * gpusim/launch.cc (one thread block per chunk, decoupled look-back
+ * write positions). A fresh Device is constructed per call so concurrent
+ * calls do not share scheduling state.
  */
 class DeviceExecutor final : public Executor {
  public:
@@ -265,42 +149,25 @@ class DeviceExecutor final : public Executor {
                 .profile = profile_.name};
     }
 
-    Bytes
-    Compress(Algorithm algorithm, ByteSpan input,
-             const Options& options) const override
-    {
-        // Grid scheduling comes from the device profile; only the
-        // telemetry/trace sinks are taken from the options.
-        gpusim::Device device(profile_);
-        return gpusim::CompressOnDevice(device, algorithm, input,
-                                        SinkOf(options), TraceOf(options),
-                                        options.adaptive);
-    }
+    /** One arena per host thread modelling an SM. */
+    size_t Workers(const Options&) const override { return TeamSize(); }
 
-    Bytes
-    Decompress(ByteSpan compressed, const Options& options) const override
+    WritePositions
+    EncodeChunks(const PipelineSpec& spec, ByteSpan input, ByteSpan chunk_src,
+                 EncodePlan& plan,
+                 std::span<ScratchArena> arenas) const override
     {
-        gpusim::Device device(profile_);
-        return gpusim::DecompressOnDevice(device, compressed,
-                                          SinkOf(options), TraceOf(options));
-    }
-
-    void
-    DecompressInto(ByteSpan compressed, std::span<std::byte> out,
-                   const Options& options) const override
-    {
-        gpusim::Device device(profile_);
-        gpusim::DecompressIntoOnDevice(device, compressed, out,
-                                       SinkOf(options), TraceOf(options));
+        return gpusim::EncodeChunksOnDevice(gpusim::Device(profile_), spec,
+                                            input, chunk_src, plan, arenas);
     }
 
     void
     DecodeChunks(const ContainerView& view, const PipelineSpec& spec,
-                 std::byte* dest, const Options& options) const override
+                 std::byte* dest, uint64_t* block_hashes,
+                 std::span<ScratchArena> arenas) const override
     {
-        gpusim::Device device(profile_);
-        gpusim::DecodeChunksOnDevice(device, view, spec, dest,
-                                     SinkOf(options), TraceOf(options));
+        gpusim::DecodeChunksOnDevice(gpusim::Device(profile_), view, spec,
+                                     dest, block_hashes, arenas);
     }
 
  private:
@@ -320,18 +187,15 @@ Lowered(const std::string& name)
     return lower;
 }
 
-std::vector<std::unique_ptr<Executor>>&
+/** The built-in backends; the first is the default. */
+std::span<const Executor* const>
 Registry()
 {
-    static std::vector<std::unique_ptr<Executor>> executors = [] {
-        std::vector<std::unique_ptr<Executor>> v;
-        v.push_back(std::make_unique<CpuExecutor>());
-        v.push_back(std::make_unique<DeviceExecutor>(
-            "gpusim:4090", gpusim::Rtx4090Profile()));
-        v.push_back(std::make_unique<DeviceExecutor>(
-            "gpusim:a100", gpusim::A100Profile()));
-        return v;
-    }();
+    static const CpuExecutor cpu;
+    static const DeviceExecutor rtx4090("gpusim:4090",
+                                        gpusim::Rtx4090Profile());
+    static const DeviceExecutor a100("gpusim:a100", gpusim::A100Profile());
+    static const Executor* const executors[] = {&cpu, &rtx4090, &a100};
     return executors;
 }
 
@@ -341,8 +205,8 @@ const Executor*
 FindExecutor(const std::string& name)
 {
     const std::string lower = Lowered(name);
-    for (const auto& executor : Registry()) {
-        if (Lowered(executor->Name()) == lower) return executor.get();
+    for (const Executor* executor : Registry()) {
+        if (Lowered(executor->Name()) == lower) return executor;
     }
     return nullptr;
 }
@@ -377,21 +241,10 @@ std::vector<std::string>
 ExecutorNames()
 {
     std::vector<std::string> names;
-    for (const auto& executor : Registry()) {
+    for (const Executor* executor : Registry()) {
         names.push_back(executor->Name());
     }
     return names;
-}
-
-void
-RegisterExecutor(std::unique_ptr<Executor> executor)
-{
-    FPC_CHECK(executor != nullptr, "null executor registration");
-    if (FindExecutor(executor->Name()) != nullptr) {
-        throw UsageError("executor \"" + executor->Name() +
-                         "\" is already registered");
-    }
-    Registry().push_back(std::move(executor));
 }
 
 }  // namespace fpc

@@ -1,16 +1,22 @@
 /**
  * @file
  * Pluggable execution backends for the four algorithms. An Executor owns
- * the *scheduling* of the chunk-parallel work — everything else (partition
- * math, chunk tables, container assembly, checksum policy) is shared
- * through core/orchestrate.h, so every backend produces byte-identical
- * containers (the paper's cross-device compatibility property, asserted
- * by tests/executor_test.cc across the whole registry).
+ * only the *scheduling* of the chunk-parallel work: which worker encodes
+ * or decodes which chunk, and how the compressed write positions are
+ * found. Everything else — ISA resolution, arena leases, run telemetry,
+ * the whole-input pre-stage, header construction, container assembly,
+ * parsing and the content check — is the compress and decompress drivers
+ * in core/orchestrate.h, which call the executor's two hooks. So every
+ * backend produces byte-identical containers (the paper's cross-device
+ * compatibility property, asserted by tests/executor_test.cc across the
+ * registry and against a test-local serial executor).
  *
  * Built-in backends:
- *   "cpu"          chunk-parallel OpenMP implementation (the default)
- *   "gpusim:4090"  simulated grid launch, RTX 4090-like profile
- *   "gpusim:a100"  simulated grid launch, A100-like profile
+ *   "cpu"          shared-cursor OpenMP chunk loop, prefix-sum write
+ *                  positions (the default)
+ *   "gpusim:4090"  simulated grid launch with decoupled look-back,
+ *                  RTX 4090-like profile
+ *   "gpusim:a100"  the same launch, A100-like profile
  *
  * Select one per call via Options::executor, or by name:
  *
@@ -20,18 +26,18 @@
  *   fpc::Bytes packed = fpc::Compress(algorithm, input, options);
  * @endcode
  *
- * A real CUDA or remote backend slots in by implementing Executor and
- * calling RegisterExecutor at startup; nothing above this layer (stream
- * API, eval harness, benches, fpczip) needs to change.
+ * Another backend (a real CUDA device, a remote pool) implements the two
+ * hooks and is passed through Options::executor; nothing above this layer
+ * (stream API, eval harness, benches, fpczip) needs to change.
  */
 #ifndef FPC_CORE_EXECUTOR_H
 #define FPC_CORE_EXECUTOR_H
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/arena.h"
 #include "core/types.h"
 #include "util/common.h"
 #include "util/cpu_features.h"
@@ -39,7 +45,9 @@
 namespace fpc {
 
 struct ContainerView;
+struct EncodePlan;
 struct PipelineSpec;
+struct WritePositions;
 
 /** Static capabilities of a backend. */
 struct ExecutorCaps {
@@ -52,8 +60,8 @@ struct ExecutorCaps {
     const char* profile = nullptr;
 };
 
-/** One execution backend. Implementations must be stateless across calls
- *  (a registered executor is shared by all threads). */
+/** One execution backend: a chunk scheduler. Implementations must be
+ *  stateless across calls (one executor is shared by all threads). */
 class Executor {
  public:
     virtual ~Executor() = default;
@@ -63,29 +71,34 @@ class Executor {
 
     virtual ExecutorCaps Capabilities() const = 0;
 
-    /** Compress @p input; container-identical across all executors. */
-    virtual Bytes Compress(Algorithm algorithm, ByteSpan input,
-                           const Options& options) const = 0;
+    /** Workers a call with @p options schedules chunks on; the drivers
+     *  lease one arena per worker and assemble with as many threads.
+     *  Serial by default. */
+    virtual size_t
+    Workers(const Options& /*options*/) const
+    {
+        return 1;
+    }
 
-    /** Decompress a container produced by any executor. */
-    virtual Bytes Decompress(ByteSpan compressed,
-                             const Options& options) const = 0;
+    /** Encode hook: run EncodeChunkAt (core/orchestrate.h) over every
+     *  chunk of @p plan — chunk c of @p chunk_src, hashing block c of
+     *  @p input — on @p arenas, one per worker, and return the payload
+     *  write positions. Rethrows the first failure once every worker
+     *  has stopped. */
+    virtual WritePositions EncodeChunks(const PipelineSpec& spec,
+                                        ByteSpan input, ByteSpan chunk_src,
+                                        EncodePlan& plan,
+                                        std::span<ScratchArena> arenas)
+        const = 0;
 
-    /** Decompress into caller-owned memory of exactly original_size
-     *  bytes. */
-    virtual void DecompressInto(ByteSpan compressed,
-                                std::span<std::byte> out,
-                                const Options& options) const = 0;
-
-    /** Decode every chunk of a parsed @p view into @p dest (sized
-     *  view.header.transformed_size) with this backend's chunk
-     *  scheduling. The ranged-read path builds a sub-container over just
-     *  the covering chunks (core/orchestrate.h MakeChunkRangeView) and
-     *  drives it through this hook, so random access reuses the same
-     *  kernels and scheduling as a full decode. */
+    /** Decode hook: run DecodeChunkAt over every chunk of @p view into
+     *  @p dest (sized view.header.transformed_size) on @p arenas, with
+     *  @p block_hashes (null, or one slot per chunk). Rethrows the first
+     *  failure once every worker has stopped. */
     virtual void DecodeChunks(const ContainerView& view,
                               const PipelineSpec& spec, std::byte* dest,
-                              const Options& options) const = 0;
+                              uint64_t* block_hashes,
+                              std::span<ScratchArena> arenas) const = 0;
 };
 
 /** Look up a backend by name (case-insensitive). Throws UsageError naming
@@ -107,13 +120,8 @@ const Executor& ResolveExecutor(const Options& options);
  *  (util/cpu_features.h). Throws UsageError for an unavailable level. */
 simd::Isa ResolveIsa(const Options& options);
 
-/** Names of all registered backends, registration order. */
+/** Names of the built-in backends, in registry order. */
 std::vector<std::string> ExecutorNames();
-
-/** Register a new backend (e.g. a real CUDA implementation). Throws
- *  UsageError when the name is already taken. Not thread-safe against
- *  concurrent lookups; register during startup. */
-void RegisterExecutor(std::unique_ptr<Executor> executor);
 
 }  // namespace fpc
 

@@ -3,7 +3,12 @@
 #include <cstdint>
 #include <memory>
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 #include "core/adaptive.h"
+#include "core/executor.h"
 #include "core/telemetry.h"
 #include "core/trace.h"
 #include "util/hash.h"
@@ -171,18 +176,108 @@ DecodeChunkAt(const ContainerView& view, const PipelineSpec& spec, size_t c,
     });
 }
 
-void
-RethrowAsCorrupt(std::exception_ptr error)
+size_t
+TeamSize()
 {
-    try {
-        std::rethrow_exception(error);
-    } catch (const CorruptStreamError&) {
-        throw;
-    } catch (const std::exception& e) {
-        throw CorruptStreamError(e.what());
+#ifdef _OPENMP
+    return static_cast<size_t>(omp_get_max_threads());
+#else
+    return 1;
+#endif
+}
+
+size_t
+TeamWorkerId()
+{
+#ifdef _OPENMP
+    return static_cast<size_t>(omp_get_thread_num());
+#else
+    return 0;
+#endif
+}
+
+const char*
+RunAlgorithmName(const ContainerHeader& header)
+{
+    return header.Adaptive()
+               ? "auto"
+               : AlgorithmName(static_cast<Algorithm>(header.algorithm));
+}
+
+void
+RecordRun(const Executor& executor, const Options& options, const char* verb,
+          uint8_t dir, const char* algorithm_name, uint64_t t0, uint64_t t1)
+{
+    Telemetry* sink = SinkOf(options);
+    TraceSink* trace = TraceOf(options);
+    if (sink != nullptr && algorithm_name != nullptr) {
+        sink->SetContext(executor.Name(), std::string(algorithm_name),
+                         simd::IsaName(ResolveIsa(options)));
+    }
+    if (trace != nullptr) {
+        // Run-span label: "compress SPspeed@cpu", "decompress auto@gpusim".
+        std::string label = verb;
+        if (algorithm_name != nullptr) {
+            label += ' ';
+            label += algorithm_name;
+        }
+        label += '@';
+        label += executor.Name();
+        trace->RecordRun(dir, label, t0, t1);
     }
 }
 
+namespace {
+
+/** The workers of one driver call: @p executor's worker count for
+ *  @p options, that many arenas leased from Options::arenas dispatching
+ *  on the call's kernel ISA, and the run scope that holds their
+ *  telemetry shards. */
+struct DriverCall {
+    DriverCall(const Executor& executor, const Options& options)
+        : isa(ResolveIsa(options)), workers(executor.Workers(options)),
+          lease(AcquireScratch(options.arenas, workers)),
+          scope(SinkOf(options), TraceOf(options), workers)
+    {
+        for (ScratchArena& arena : lease.Span()) arena.SetKernelIsa(isa);
+    }
+
+    std::span<ScratchArena> Arenas() { return lease.Span(); }
+
+    simd::Isa isa;
+    size_t workers;
+    ArenaLease lease;
+    TelemetryRunScope scope;
+};
+
+/** Run @p body with @p arenas attached to @p scope's worker shards,
+ *  sized for @p n_chunks chunks; the shards merge and detach when it
+ *  returns or throws. */
+template <typename Body>
+void
+Attached(TelemetryRunScope& scope, std::span<ScratchArena> arenas,
+         size_t n_chunks, const Body& body)
+{
+    scope.HintChunks(n_chunks);
+    scope.Attach(arenas);
+    try {
+        body();
+    } catch (...) {
+        scope.Finish(arenas);
+        throw;
+    }
+    scope.Finish(arenas);
+}
+
+/**
+ * The stream a compress loop chunks: @p input itself, or — for a
+ * fixed-mode encode of a pipeline with a whole-input pre-stage
+ * (DPratio's FCM) — that stage's output, written to @p work on the
+ * calling thread with kernels dispatching on @p isa. The stage counters
+ * and kPre span go to @p shard (the run scope's MainShard) when it is
+ * non-null. Adaptive encodes never run a pre-stage: each chunk picks its
+ * own (possibly FCM-chunked) pipeline.
+ */
 ByteSpan
 PreEncode(const PipelineSpec& spec, ByteSpan input, bool adaptive,
           simd::Isa isa, TelemetryShard* shard, Bytes& work)
@@ -199,68 +294,46 @@ PreEncode(const PipelineSpec& spec, ByteSpan input, bool adaptive,
     return ByteSpan(work);
 }
 
-PreDecodeFn
-PreDecodeHook(Telemetry* sink, TraceSink* trace, simd::Isa isa)
+/** The whole-input pre-stage decode (FCM for DPratio) of @p transformed
+ *  into @p out, exactly the container's original size, on @p scratch;
+ *  its counters and kPre span go to the arena's shard. */
+void
+PreDecode(const PipelineSpec& spec, ByteSpan transformed,
+          std::span<std::byte> out, ScratchArena& scratch)
 {
-    return [sink, trace, isa](const PipelineSpec& spec, ByteSpan transformed,
-                              std::span<std::byte> out) {
-        ScratchArena scratch;
-        scratch.SetKernelIsa(isa);
-        if (sink == nullptr && trace == nullptr) {
-            spec.pre.decode_into(transformed, out, scratch);
-            return;
-        }
-        const uint64_t t0 = TelemetryNowNs();
-        spec.pre.decode_into(transformed, out, scratch);
-        const uint64_t t1 = TelemetryNowNs();
-        if (sink != nullptr) {
-            TelemetryShard shard;
-            RecordPreStage(shard, kTraceDecode, spec.pre.id,
-                           transformed.size(), out.size(), t0, t1);
-            sink->Merge(shard);
-        }
-        if (trace != nullptr) {
-            TraceSpan span;
-            span.start_ns = t0;
-            span.dur_ns = t1 - t0;
-            span.worker = 0;  // runs on the orchestrating thread
-            span.kind = TraceSpanKind::kPre;
-            span.dir = kTraceDecode;
-            span.stage = static_cast<uint8_t>(spec.pre.id);
-            trace->Record(span);
-        }
-    };
+    TelemetryShard* shard = scratch.Telemetry();
+    const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
+    spec.pre.decode_into(transformed, out, scratch);
+    if (shard != nullptr) {
+        RecordPreStage(*shard, kTraceDecode, spec.pre.id, transformed.size(),
+                       out.size(), t0, TelemetryNowNs());
+    }
 }
-
-namespace {
 
 /**
  * The one content check: compare @p out's size and content checksum with
  * @p header. The checksum is @p block_hashes combined when the decode
  * loop hashed the chunks it wrote (non-null); otherwise — a pre-stage
  * ran, or the container stores the serial Fnv1a64 — the whole output is
- * hashed here. With @p trace set, that step is recorded as a worker-0
+ * hashed here. With a trace ring on @p shard that step is recorded as a
  * kChecksum span (it runs on the orchestrating thread, after the join).
  */
 void
 VerifyContent(const ContainerHeader& header, ByteSpan out,
-              const std::vector<uint64_t>* block_hashes, TraceSink* trace)
+              const std::vector<uint64_t>* block_hashes,
+              TelemetryShard* shard)
 {
     FPC_PARSE_CHECK(out.size() == header.original_size,
                     "decompressed size mismatch");
-    const uint64_t t0 = trace != nullptr ? TelemetryNowNs() : 0;
+    TraceRing* ring = shard != nullptr ? shard->trace : nullptr;
+    const uint64_t t0 = ring != nullptr ? TelemetryNowNs() : 0;
     const uint64_t checksum =
         header.FnvChecksum()     ? Fnv1a64(out)
         : block_hashes != nullptr ? ChecksumCombine(*block_hashes, out.size())
                                   : Checksum64(out);
-    if (trace != nullptr) {
-        TraceSpan span;
-        span.start_ns = t0;
-        span.dur_ns = TelemetryNowNs() - t0;
-        span.worker = 0;
-        span.kind = TraceSpanKind::kChecksum;
-        span.dir = kTraceDecode;
-        trace->Record(span);
+    if (ring != nullptr) {
+        ring->Record(TraceSpanKind::kChecksum, kTraceDecode, 0, 0, t0,
+                     TelemetryNowNs());
     }
     FPC_PARSE_CHECK(checksum == header.checksum, "content checksum mismatch");
 }
@@ -288,61 +361,145 @@ CheckedPipeline(const ContainerHeader& header)
     return spec;
 }
 
-/** Decode @p view into @p out (exactly original_size bytes) and verify
- *  its content. Without a whole-input stage the chunks decode straight
- *  into @p out, each hashed as it lands when the checksum is
- *  chunk-laned. With one, the chunks fill a transformed-stream buffer
- *  that @p pre_decode restores into @p out; the buffer is left
- *  uninitialised, since every chunk decode fills its slot or throws. */
+/** @p executor's decode hook over @p view, its first failure rethrown
+ *  with stage/offset context intact: a CorruptStreamError as itself, any
+ *  other std::exception as a CorruptStreamError carrying its message. */
 void
-DecodeVerified(const ContainerView& view, const PipelineSpec& spec,
-               std::span<std::byte> out, const DecodeChunksFn& decode_chunks,
-               const PreDecodeFn& pre_decode, TraceSink* trace)
+DecodeChunksOf(const Executor& executor, const ContainerView& view,
+               const PipelineSpec& spec, std::byte* dest,
+               uint64_t* block_hashes, std::span<ScratchArena> arenas)
 {
-    std::vector<uint64_t> block_hashes;
-    const bool laned =
-        spec.pre.decode == nullptr && !view.header.FnvChecksum();
-    if (spec.pre.decode == nullptr) {
-        if (laned) block_hashes.resize(view.header.chunk_count);
-        decode_chunks(view, spec, out.data(),
-                      laned ? block_hashes.data() : nullptr);
-    } else {
-        const size_t n = view.header.transformed_size;
-        const auto work = std::make_unique_for_overwrite<std::byte[]>(n);
-        decode_chunks(view, spec, work.get(), nullptr);
-        pre_decode(spec, ByteSpan(work.get(), n), out);
+    try {
+        executor.DecodeChunks(view, spec, dest, block_hashes, arenas);
+    } catch (const CorruptStreamError&) {
+        throw;
+    } catch (const std::exception& e) {
+        throw CorruptStreamError(e.what());
     }
-    VerifyContent(view.header, ByteSpan(out.data(), out.size()),
-                  laned ? &block_hashes : nullptr, trace);
+}
+
+/**
+ * The one decompress body: decode the parsed @p view into @p into
+ * (exactly original_size bytes, else UsageError) or into a new buffer it
+ * returns, through @p executor's decode hook on @p arenas, with the
+ * arenas attached to @p scope. Without a whole-input stage the chunks
+ * decode straight into the output, each hashed as it lands when the
+ * checksum is chunk-laned. With one, the chunks fill a transformed-stream
+ * buffer — left uninitialised, since every chunk decode fills its slot or
+ * throws — that the pre-stage restores into the output on arenas[0].
+ * The pre-stage and the content check account to arenas[0]'s shard.
+ */
+Bytes
+DecodeView(const Executor& executor, const ContainerView& view,
+           std::optional<std::span<std::byte>> into,
+           std::span<ScratchArena> arenas, TelemetryRunScope& scope)
+{
+    const ContainerHeader& header = view.header;
+    if (into && into->size() != header.original_size) {
+        throw UsageError("DecompressInto: output span must be exactly " +
+                         std::to_string(header.original_size) + " bytes");
+    }
+    const PipelineSpec& spec = CheckedPipeline(header);
+    Bytes owned(into ? 0 : header.original_size);
+    const std::span<std::byte> out = into ? *into : std::span(owned);
+    Attached(scope, arenas, header.chunk_count, [&] {
+        std::vector<uint64_t> block_hashes;
+        const bool laned = spec.pre.decode == nullptr && !header.FnvChecksum();
+        if (spec.pre.decode == nullptr) {
+            if (laned) block_hashes.resize(header.chunk_count);
+            DecodeChunksOf(executor, view, spec, out.data(),
+                           laned ? block_hashes.data() : nullptr, arenas);
+        } else {
+            const size_t n = header.transformed_size;
+            const auto work = std::make_unique_for_overwrite<std::byte[]>(n);
+            DecodeChunksOf(executor, view, spec, work.get(), nullptr, arenas);
+            PreDecode(spec, ByteSpan(work.get(), n), out, arenas.front());
+        }
+        VerifyContent(header, ByteSpan(out.data(), out.size()),
+                      laned ? &block_hashes : nullptr,
+                      arenas.front().Telemetry());
+    });
+    return owned;
 }
 
 }  // namespace
 
 Bytes
-RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
-              const PreDecodeFn& pre_decode, TraceSink* trace)
+CompressOn(const Executor& executor, Algorithm algorithm, ByteSpan input,
+           const Options& options)
 {
+    Telemetry* sink = SinkOf(options);
+    TraceSink* trace = TraceOf(options);
+    const bool recorded = sink != nullptr || trace != nullptr;
+    const uint64_t t0 = recorded ? TelemetryNowNs() : 0;
+    const PipelineSpec& spec = GetPipeline(algorithm);
+    DriverCall call(executor, options);
+
+    // Whole-input pre-stage (FCM); algorithms without one chunk the
+    // input in place — no staging copy.
+    Bytes work;
+    const ByteSpan chunk_src = PreEncode(spec, input, options.adaptive,
+                                         call.isa, call.scope.MainShard(),
+                                         work);
+    EncodePlan plan(ChunkCountOf(chunk_src.size()), input.size());
+    if (options.adaptive) plan.EnableAdaptive();
+    Bytes out;
+    // Pass 1 (paper Section 3) is the executor's: every chunk encoded on
+    // its worker's arena, staged in the plan, its input block hashed.
+    // Pass 2 places the payloads at the write positions it returns.
+    Attached(call.scope, call.Arenas(), plan.ChunkCount(), [&] {
+        const WritePositions wp = executor.EncodeChunks(
+            spec, input, chunk_src, plan, call.Arenas());
+        const ContainerHeader header = MakeContainerHeader(
+            algorithm, chunk_src.size(), plan, call.scope.MainShard());
+        out = AssembleContainer(header, plan, wp.offsets, wp.total,
+                                static_cast<int>(call.workers));
+    });
+    if (recorded) {
+        const uint64_t t1 = TelemetryNowNs();
+        if (sink != nullptr) {
+            sink->AddCompress(input.size(), out.size(), t1 - t0);
+        }
+        RecordRun(executor, options, "compress", kTraceEncode,
+                  options.adaptive ? "auto" : AlgorithmName(algorithm), t0,
+                  t1);
+    }
+    return out;
+}
+
+Bytes
+DecompressOn(const Executor& executor, ByteSpan compressed,
+             const Options& options, std::optional<std::span<std::byte>> into,
+             bool record_run)
+{
+    Telemetry* sink = record_run ? SinkOf(options) : nullptr;
+    TraceSink* trace = record_run ? TraceOf(options) : nullptr;
+    const bool recorded = sink != nullptr || trace != nullptr;
+    const uint64_t t0 = recorded ? TelemetryNowNs() : 0;
     const ContainerView view = ParseContainer(compressed);
-    const PipelineSpec& spec = CheckedPipeline(view.header);
-    Bytes out(view.header.original_size);
-    DecodeVerified(view, spec, std::span<std::byte>(out), decode_chunks,
-                   pre_decode, trace);
+    DriverCall call(executor, options);
+    Bytes out = DecodeView(executor, view, into, call.Arenas(), call.scope);
+    if (recorded) {
+        const uint64_t t1 = TelemetryNowNs();
+        if (sink != nullptr) {
+            sink->AddDecompress(compressed.size(), view.header.original_size,
+                                t1 - t0);
+        }
+        RecordRun(executor, options, "decompress", kTraceDecode,
+                  RunAlgorithmName(view.header), t0, t1);
+    }
     return out;
 }
 
 void
-RunDecompressInto(ByteSpan compressed, std::span<std::byte> out,
-                  const DecodeChunksFn& decode_chunks,
-                  const PreDecodeFn& pre_decode, TraceSink* trace)
+DecodeChunkRange(const Executor& executor, const ContainerView& view,
+                 const PipelineSpec& spec, std::byte* dest,
+                 const Options& options)
 {
-    const ContainerView view = ParseContainer(compressed);
-    if (out.size() != view.header.original_size) {
-        throw UsageError("DecompressInto: output span must be exactly " +
-                         std::to_string(view.header.original_size) +
-                         " bytes");
-    }
-    DecodeVerified(view, CheckedPipeline(view.header), out, decode_chunks,
-                   pre_decode, trace);
+    DriverCall call(executor, options);
+    Attached(call.scope, call.Arenas(), view.header.chunk_count, [&] {
+        DecodeChunksOf(executor, view, spec, dest, nullptr, call.Arenas());
+    });
 }
 
 size_t
@@ -401,29 +558,13 @@ MakeChunkRangeView(const ContainerPrefix& prefix, size_t first_chunk,
 Bytes
 RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch)
 {
-    // Both hooks run on the calling thread against the one arena.
-    const DecodeChunksFn decode_all = [&scratch](const ContainerView& view,
-                                                 const PipelineSpec& spec,
-                                                 std::byte* dest,
-                                                 uint64_t* block_hashes) {
-        for (size_t c = 0; c < view.header.chunk_count; ++c) {
-            DecodeChunkAt(view, spec, c, dest, scratch, &DecodeChunk,
-                          block_hashes);
-        }
-    };
-    const PreDecodeFn pre_decode = [&scratch](const PipelineSpec& spec,
-                                              ByteSpan transformed,
-                                              std::span<std::byte> out) {
-        TelemetryShard* shard = scratch.Telemetry();
-        const uint64_t t0 = shard != nullptr ? TelemetryNowNs() : 0;
-        spec.pre.decode_into(transformed, out, scratch);
-        if (shard != nullptr) {
-            RecordPreStage(*shard, kTraceDecode, spec.pre.id,
-                           transformed.size(), out.size(), t0,
-                           TelemetryNowNs());
-        }
-    };
-    return RunDecompress(compressed, decode_all, pre_decode, nullptr);
+    // The cpu executor's hook over one arena runs every chunk on the
+    // calling thread. The scope has no sink, so it leaves the arena's own
+    // shard attached.
+    TelemetryRunScope unattached(nullptr, nullptr, 1);
+    return DecodeView(DefaultExecutor(), ParseContainer(compressed),
+                      std::nullopt, std::span<ScratchArena>(&scratch, 1),
+                      unattached);
 }
 
 }  // namespace fpc

@@ -1,27 +1,31 @@
 /**
  * @file
- * Shared compression/decompression orchestration used by every executor
- * (core/executor.h). The paper's container pipeline is the same on both
+ * The compress and decompress drivers every executor (core/executor.h)
+ * runs through. The paper's container pipeline is the same on both
  * device paths — partition the transformed stream into 16 KiB chunks,
  * encode each chunk independently (raw fallback when a chunk expands),
- * prefix-sum the compressed sizes into write positions, and place every
+ * turn the compressed sizes into write positions, and place every
  * payload behind one container prefix — and only the *scheduling* of the
  * chunk work differs (shared-cursor OpenMP loop vs simulated grid launch
- * with decoupled look-back). This file owns everything except the scheduling,
- * so the executors cannot drift apart: identical partition math, identical
- * chunk tables, identical prefix bytes, and one content-checksum check.
+ * with decoupled look-back). The drivers here own everything else — ISA
+ * resolution, arena leases, run telemetry, the whole-input pre-stage,
+ * header construction, container assembly, parsing and the one content
+ * check — and call the executor's two scheduling hooks for the chunk
+ * loops, so the backends cannot drift apart: identical partition math,
+ * identical chunk tables, identical prefix bytes.
  * The content checksum is chunk-laned too (Checksum64, util/hash.h): the
  * shared per-chunk bodies hash their block — EncodeChunkAt the input
  * block of its chunk, DecodeChunkAt the chunk it just wrote — and the
- * driver combines the block hashes after the join, so both schedulers
- * hash through the same two functions (DESIGN.md §3a).
+ * driver combines the block hashes after the join, so every scheduler
+ * hashes through the same two functions (DESIGN.md §3a).
  */
 #ifndef FPC_CORE_ORCHESTRATE_H
 #define FPC_CORE_ORCHESTRATE_H
 
+#include <atomic>
 #include <exception>
-#include <functional>
 #include <memory>
+#include <optional>
 
 #include "core/arena.h"
 #include "core/container.h"
@@ -32,6 +36,7 @@
 
 namespace fpc {
 
+class Executor;
 class TraceSink;
 struct TelemetryShard;
 
@@ -191,7 +196,7 @@ struct ChunkTimes {
 };
 
 /**
- * The per-chunk encode body both compress loops run: encode chunk @p c
+ * The per-chunk encode body every encode hook runs: encode chunk @p c
  * of @p chunk_src through @p encode — with @p spec, or by
  * EncodeChunkAuto's per-chunk selection when @p plan is adaptive — on
  * the calling worker's arena @p scratch, stage the payload in @p plan,
@@ -204,10 +209,10 @@ ChunkTimes EncodeChunkAt(const PipelineSpec& spec, ByteSpan input,
                          ChunkEncodeFn encode, EncodePlan& plan);
 
 /**
- * The per-chunk decode body of every decode loop (both executors and
- * RunDecompressSerial): decode chunk @p c of @p view through @p decode
- * into its slot of @p dest (sized view.header.transformed_size) on
- * @p scratch, store the slot's ChecksumBlock at @p block_hashes[c] when
+ * The per-chunk decode body every decode hook runs: decode chunk @p c
+ * of @p view through @p decode into its slot of @p dest (sized
+ * view.header.transformed_size) on @p scratch, store the slot's
+ * ChecksumBlock at @p block_hashes[c] when
  * @p block_hashes is non-null, and record the chunk's latency and kChunk
  * span in the arena's telemetry shard.
  */
@@ -215,26 +220,9 @@ ChunkTimes DecodeChunkAt(const ContainerView& view, const PipelineSpec& spec,
                          size_t c, std::byte* dest, ScratchArena& scratch,
                          ChunkDecodeFn decode, uint64_t* block_hashes);
 
-/** Rethrow a chunk loop's first failure with its stage/offset context
- *  intact: a CorruptStreamError as itself, any other std::exception as
- *  a CorruptStreamError carrying its message. */
-[[noreturn]] void RethrowAsCorrupt(std::exception_ptr error);
-
-/**
- * The stream a compress loop chunks: @p input itself, or — for a
- * fixed-mode encode of a pipeline with a whole-input pre-stage
- * (DPratio's FCM) — that stage's output, written to @p work on the
- * calling thread with kernels dispatching on @p isa. The stage counters
- * and kPre span go to @p shard (the run scope's MainShard) when it is
- * non-null. Adaptive encodes never run a pre-stage: each chunk picks its
- * own (possibly FCM-chunked) pipeline.
- */
-ByteSpan PreEncode(const PipelineSpec& spec, ByteSpan input, bool adaptive,
-                   simd::Isa isa, TelemetryShard* shard, Bytes& work);
-
 /** Final payload write positions: exclusive prefix sum over the stored
- *  chunk sizes. The device path computes the same offsets with the
- *  decoupled look-back instead and passes them to AssembleContainer. */
+ *  chunk sizes — what the cpu executor's encode hook returns; the device
+ *  hook computes the same offsets with the decoupled look-back. */
 struct WritePositions {
     std::vector<uint64_t> offsets;  ///< payload-relative, per chunk
     uint64_t total = 0;             ///< payload bytes overall
@@ -264,52 +252,109 @@ AssembleContainer(const ContainerHeader& header, const EncodePlan& plan,
     return AssembleContainer(header, plan, offsets, total, threads);
 }
 
-/** Executor hook: decode every chunk of @p view into @p dest, which is
- *  sized view.header.transformed_size, each through DecodeChunkAt with
- *  @p block_hashes. That is non-null when the decoded chunks are the
- *  output and the container's checksum is chunk-laned; the driver then
- *  combines the hashes the workers stored. */
-using DecodeChunksFn =
-    std::function<void(const ContainerView& view, const PipelineSpec& spec,
-                       std::byte* dest, uint64_t* block_hashes)>;
+/**
+ * First-failure capture for a chunk loop. Each worker runs its chunk
+ * work through Run(); the first exception is kept, later ones are
+ * dropped, and Failed() tells the other workers to stop claiming. The
+ * atomic exchange picks the single writer of the stored exception and
+ * the loop's join publishes it, so no lock is needed; call Rethrow()
+ * after the join.
+ */
+class FirstFailure {
+ public:
+    bool Failed() const { return failed_.load(std::memory_order_relaxed); }
 
-/** Executor hook: the whole-input pre-stage decode (FCM for DPratio)
- *  into @p out, exactly the container's original size. Only invoked
- *  when spec.pre.decode is set. */
-using PreDecodeFn = std::function<void(
-    const PipelineSpec& spec, ByteSpan transformed, std::span<std::byte> out)>;
+    /** Run @p work unless a worker has already failed; true when it ran
+     *  to completion. */
+    template <typename Work>
+    bool
+    Run(const Work& work)
+    {
+        if (Failed()) return false;
+        try {
+            work();
+            return true;
+        } catch (...) {
+            if (!failed_.exchange(true)) error_ = std::current_exception();
+            return false;
+        }
+    }
 
-/** The pre-decode hook both executors pass the decompression driver:
- *  spec.pre.decode_into on the orchestrating thread, kernels dispatching on
- *  @p isa. Its stage counters merge into @p sink and its kPre span
- *  (worker 0) goes to @p trace, each when non-null. */
-PreDecodeFn PreDecodeHook(Telemetry* sink, TraceSink* trace, simd::Isa isa);
+    void
+    Rethrow() const
+    {
+        if (error_) std::rethrow_exception(error_);
+    }
+
+ private:
+    std::atomic<bool> failed_{false};
+    std::exception_ptr error_;
+};
+
+/** Threads an OpenMP region started by the caller runs on
+ *  (omp_get_max_threads(); 1 without OpenMP). */
+size_t TeamSize();
+
+/** The calling thread's index in its OpenMP team (0 outside a parallel
+ *  region or without OpenMP). */
+size_t TeamWorkerId();
 
 /**
- * Shared decompression driver: parse + validate the container, decode the
- * chunks through @p decode_chunks (directly into the result, hashing each
- * chunk as it lands, when the algorithm has no whole-input stage), run
- * @p pre_decode otherwise, and verify the size and content checksum: the
- * combined block hashes, or — after a pre-stage, or for a v1/v3
- * container's Fnv1a64 — a hash of the whole output. Throws
- * CorruptStreamError on any mismatch. With @p trace set, that final step
- * is recorded as a kChecksum span.
+ * The compress driver behind fpc::Compress on every backend: resolve the
+ * ISA, lease @p executor's worker count of arenas (Options::arenas),
+ * run the whole-input pre-stage, build the EncodePlan, run the
+ * executor's encode hook, then write the header and assemble the
+ * container with that many threads. Run telemetry (sink context and
+ * totals, trace run span) is recorded when the options carry a sink or
+ * tracer.
  */
-Bytes RunDecompress(ByteSpan compressed, const DecodeChunksFn& decode_chunks,
-                    const PreDecodeFn& pre_decode, TraceSink* trace);
+Bytes CompressOn(const Executor& executor, Algorithm algorithm,
+                 ByteSpan input, const Options& options);
 
-/** RunDecompress into caller-owned memory of exactly original_size bytes
- *  (throws UsageError otherwise). */
-void RunDecompressInto(ByteSpan compressed, std::span<std::byte> out,
-                       const DecodeChunksFn& decode_chunks,
-                       const PreDecodeFn& pre_decode, TraceSink* trace);
+/**
+ * The decompress driver behind fpc::Decompress and fpc::DecompressInto on
+ * every backend: parse @p compressed once, check its sizes against the
+ * pipeline, decode the chunks through the executor's decode hook —
+ * straight into the output, hashing each chunk as it lands, when the
+ * algorithm has no whole-input stage — run the pre-stage decode
+ * otherwise, and verify the size and content checksum (throws
+ * CorruptStreamError on any mismatch). Writes into @p into when given
+ * (exactly original_size bytes, else UsageError) and returns an empty
+ * buffer; otherwise returns a new one. With @p record_run the call's
+ * run telemetry is recorded as in CompressOn.
+ */
+Bytes DecompressOn(const Executor& executor, ByteSpan compressed,
+                   const Options& options,
+                   std::optional<std::span<std::byte>> into = std::nullopt,
+                   bool record_run = true);
+
+/** Decode every chunk of a chunk-range @p view (MakeChunkRangeView) into
+ *  @p dest through @p executor's decode hook, with the leases and chunk
+ *  telemetry of a decompress call but no content check: the ranged-read
+ *  path. */
+void DecodeChunkRange(const Executor& executor, const ContainerView& view,
+                      const PipelineSpec& spec, std::byte* dest,
+                      const Options& options);
+
+/** Algorithm label of a run over a container with @p header: "auto"
+ *  for adaptive containers, the fixed algorithm's name otherwise. */
+const char* RunAlgorithmName(const ContainerHeader& header);
+
+/** Record one finished entry-point call of @p executor with @p options
+ *  that ran [@p t0, @p t1]: the sink's context (@p algorithm_name when
+ *  known, and the call's ISA) and the trace's run span ("decompress
+ *  SPspeed@cpu"), each when the options carry one. Byte totals are the
+ *  caller's to add. */
+void RecordRun(const Executor& executor, const Options& options,
+               const char* verb, uint8_t dir, const char* algorithm_name,
+               uint64_t t0, uint64_t t1);
 
 /**
  * Synthetic sub-container over chunks [@p first_chunk, @p chunk_end) of a
  * parsed frame prefix, whose payload bytes are @p payload (exactly those
  * chunks' stored bytes, contiguous as on disk). The sub-view's
  * transformed_size covers only the selected chunks, so ChunkSlotAt math —
- * and therefore every Executor::DecodeChunks backend — applies unchanged.
+ * and therefore every executor's decode hook — applies unchanged.
  * The content checksum does NOT describe the sub-range; callers verify
  * ranged reads against a full decode in tests, not per call.
  */
@@ -323,11 +368,12 @@ size_t ChunkRangeBytes(size_t transformed_size, size_t first_chunk,
                        size_t chunk_end);
 
 /**
- * RunDecompress with fully serial hooks, for streaming-pool workers: every
- * chunk (and the pre-stage, when the algorithm has one) decodes on the
- * calling thread against one persistent @p scratch arena, so a worker's
- * buffers stay warm across frames. Telemetry flows through the shard attached to
- * @p scratch, if any — the pool merges shards once, at join.
+ * The decompress driver's body with a serial chunk loop, for
+ * streaming-pool workers: every chunk (and the pre-stage, when the
+ * algorithm has one) decodes on the calling thread against one
+ * persistent @p scratch arena, so a worker's buffers stay warm across
+ * frames. Telemetry flows through the shard attached to @p scratch, if
+ * any — the pool merges shards once, at join.
  */
 Bytes RunDecompressSerial(ByteSpan compressed, ScratchArena& scratch);
 

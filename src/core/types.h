@@ -49,7 +49,7 @@ struct Options {
     /** Cross-call scratch pool (core/arena.h): long-lived callers (the
      *  service scheduler) attach one so requests reuse warm arenas
      *  instead of re-allocating. Null = call-local arenas (the
-     *  default). Honoured by the cpu executor. */
+     *  default). Honoured by every backend. */
     ArenaPool* arenas = nullptr;
     /** Kernel ISA request, stored as a simd::Isa value or kIsaAuto
      *  (= follow the process default, see util/cpu_features.h). Every
@@ -82,8 +82,7 @@ struct Options {
 
     /** Pin the kernel ISA level ("scalar", "avx2", "avx512") for this
      *  call. Throws UsageError for unknown names or levels unavailable
-     *  on this CPU/build. Honoured by the cpu executor; the gpusim
-     *  backends always follow the process default. Defined in
+     *  on this CPU/build. Honoured by every backend. Defined in
      *  core/executor.cc. */
     Options& with_isa(const std::string& name);
 

@@ -1,9 +1,5 @@
 #include "gpusim/device.h"
 
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 namespace fpc::gpusim {
 
 const DeviceProfile&
@@ -25,14 +21,11 @@ Device::Launch(size_t num_blocks,
                const std::function<void(ThreadBlock&)>& body) const
 {
     blocks_executed_ = num_blocks;
-    // Persistent-block scheduling: at most num_sms * blocks_per_sm blocks
-    // are resident at once; each resident slot pulls block ids off the
-    // worklist dynamically (paper Section 3: chunks are dynamically
-    // assigned to thread blocks).
-    const size_t resident =
-        std::min<size_t>(num_blocks,
-                         size_t{profile_.num_sms} * profile_.blocks_per_sm);
-    if (resident == 0) return;
+    // The host threads of one OpenMP team pull block ids off a dynamic
+    // worklist in id order, like persistent thread blocks pulling chunks
+    // (paper Section 3: chunks are dynamically assigned to thread
+    // blocks). The profile's SM and residency counts are labels only.
+    if (num_blocks == 0) return;
 
 #ifdef _OPENMP
     // Signed loop index: unsigned induction variables are not portable

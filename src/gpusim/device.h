@@ -69,7 +69,9 @@ class ThreadBlock {
     unsigned num_threads_;
 };
 
-/** Static description of a simulated GPU (used by the two GPU figures). */
+/** Static description of a simulated GPU (used by the two GPU figures).
+ *  Launch uses threads_per_block; the SM and residency counts describe
+ *  the modelled part and do not change the schedule. */
 struct DeviceProfile {
     const char* name;
     unsigned num_sms;            ///< streaming multiprocessors
@@ -92,7 +94,8 @@ class Device {
 
     /**
      * Launch @p num_blocks blocks of the kernel @p body. Blocks execute
-     * independently (host threads model SMs when OpenMP is enabled).
+     * independently, claimed in id order by the caller's OpenMP team
+     * (one host thread per modelled SM; serial without OpenMP).
      */
     void Launch(size_t num_blocks,
                 const std::function<void(ThreadBlock&)>& body) const;

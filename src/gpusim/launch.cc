@@ -1,14 +1,6 @@
 #include "gpusim/launch.h"
 
-#include <atomic>
-#include <exception>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
-
 #include "core/arena.h"
-#include "core/orchestrate.h"
 #include "core/telemetry.h"
 #include "gpusim/kernels.h"
 #include "gpusim/primitives.h"
@@ -17,161 +9,74 @@ namespace fpc::gpusim {
 
 namespace {
 
-/** Arenas for the host threads that model SMs in Device::Launch. */
-size_t
-MaxLaunchWorkers()
+/** Record block @p c's span [@p t0, @p t1] when the arena traces. */
+void
+RecordBlock(ScratchArena& scratch, uint8_t dir, size_t c, uint64_t t0,
+            uint64_t t1)
 {
-#ifdef _OPENMP
-    return static_cast<size_t>(omp_get_max_threads());
-#else
-    return 1;
-#endif
-}
-
-size_t
-LaunchWorkerId()
-{
-#ifdef _OPENMP
-    return static_cast<size_t>(omp_get_thread_num());
-#else
-    return 0;
-#endif
-}
-
-/** Chunk decode hook for the orchestration driver: one thread block per
- *  chunk, scheduled by the device; each block hashes the chunk it wrote
- *  into @p block_hashes when given. */
-DecodeChunksFn
-DecodeChunksOn(const Device& device, Telemetry* sink, TraceSink* trace)
-{
-    return [&device, sink, trace](const ContainerView& view,
-                                  const PipelineSpec& spec,
-                                  std::byte* dest, uint64_t* block_hashes) {
-        std::vector<ScratchArena> arenas(MaxLaunchWorkers());
-        TelemetryRunScope scope(sink, trace, MaxLaunchWorkers());
-        scope.HintChunks(view.header.chunk_count);
-        scope.Attach(arenas);
-        std::atomic<bool> failed{false};
-        std::exception_ptr first_error;
-#ifdef _OPENMP
-        omp_lock_t error_lock;
-        omp_init_lock(&error_lock);
-#endif
-        device.Launch(view.header.chunk_count, [&](ThreadBlock& block) {
-            if (failed.load(std::memory_order_relaxed)) return;
-            const size_t c = block.BlockId();
-            try {
-                ScratchArena& scratch = arenas[LaunchWorkerId()];
-                const ChunkTimes times =
-                    DecodeChunkAt(view, spec, c, dest, scratch,
-                                  &DecodeChunkDevice, block_hashes);
-                TelemetryShard* shard = scratch.Telemetry();
-                if (shard != nullptr && shard->trace != nullptr) {
-                    // The decode block body is the chunk decode, so the
-                    // block span shares the chunk span's extent.
-                    shard->trace->Record(TraceSpanKind::kBlock, kTraceDecode,
-                                         0, c, times.t0, times.t1);
-                }
-            } catch (...) {
-#ifdef _OPENMP
-                omp_set_lock(&error_lock);
-#endif
-                if (!failed.exchange(true)) {
-                    first_error = std::current_exception();
-                }
-#ifdef _OPENMP
-                omp_unset_lock(&error_lock);
-#endif
-            }
-        });
-#ifdef _OPENMP
-        omp_destroy_lock(&error_lock);
-#endif
-        scope.Finish(arenas);
-        if (failed.load()) RethrowAsCorrupt(first_error);
-    };
+    TelemetryShard* shard = scratch.Telemetry();
+    if (shard != nullptr && shard->trace != nullptr) {
+        shard->trace->Record(TraceSpanKind::kBlock, dir, 0, c, t0, t1);
+    }
 }
 
 }  // namespace
 
-Bytes
-CompressOnDevice(const Device& device, Algorithm algorithm, ByteSpan input,
-                 Telemetry* sink, TraceSink* trace, bool adaptive)
+WritePositions
+EncodeChunksOnDevice(const Device& device, const PipelineSpec& spec,
+                     ByteSpan input, ByteSpan chunk_src, EncodePlan& plan,
+                     std::span<ScratchArena> arenas)
 {
-    const PipelineSpec& spec = GetPipeline(algorithm);
-    TelemetryRunScope scope(sink, trace, MaxLaunchWorkers());
-
-    // Device kernels and the pre-stage dispatch on the process default
-    // ISA.
-    Bytes work;
-    const ByteSpan chunk_src = PreEncode(spec, input, adaptive,
-                                         simd::DefaultIsa(),
-                                         scope.MainShard(), work);
-
-    const size_t n_chunks = ChunkCountOf(chunk_src.size());
-    EncodePlan plan(n_chunks, input.size());
-    if (adaptive) plan.EnableAdaptive();
-    std::vector<uint64_t> offsets(n_chunks, 0);
+    FPC_CHECK(arenas.size() >= TeamSize(), "one arena per launch worker");
+    const size_t n_chunks = plan.ChunkCount();
+    WritePositions wp;
+    wp.offsets.assign(n_chunks, 0);
     DecoupledLookback lookback(n_chunks);
-    std::vector<ScratchArena> arenas(MaxLaunchWorkers());
-    scope.HintChunks(n_chunks);
-    scope.Attach(arenas);
-
-    // One thread block per chunk; after encoding (and hashing its input
-    // block), each block publishes its compressed size and resolves its
-    // write position by looking back.
+    FirstFailure failure;
     device.Launch(n_chunks, [&](ThreadBlock& block) {
         const size_t c = block.BlockId();
-        ScratchArena& scratch = arenas[LaunchWorkerId()];
-        const ChunkTimes times = EncodeChunkAt(spec, input, chunk_src, c,
-                                               scratch, &EncodeChunkDevice,
-                                               plan);
-        lookback.PublishAggregate(c, plan.sizes[c]);
-        offsets[c] = lookback.ResolvePrefix(c);
-        TelemetryShard* shard = scratch.Telemetry();
-        if (shard != nullptr && shard->trace != nullptr) {
-            // The block span additionally covers the look-back hand-off.
-            shard->trace->Record(TraceSpanKind::kBlock, kTraceEncode, 0, c,
-                                 times.t0, TelemetryNowNs());
+        ScratchArena& scratch = arenas[TeamWorkerId()];
+        ChunkTimes times;
+        const bool encoded = failure.Run([&] {
+            times = EncodeChunkAt(spec, input, chunk_src, c, scratch,
+                                  &EncodeChunkDevice, plan);
+        });
+        // After encoding (and hashing its input block) the block
+        // publishes its size and looks back for its write position. A
+        // failed or skipped block publishes zero, so no successor waits
+        // on it.
+        lookback.PublishAggregate(c, encoded ? plan.sizes[c] : 0);
+        wp.offsets[c] = lookback.ResolvePrefix(c);
+        // The block span additionally covers the look-back hand-off.
+        if (encoded) {
+            RecordBlock(scratch, kTraceEncode, c, times.t0, TelemetryNowNs());
         }
     });
-
-    const ContainerHeader header = MakeContainerHeader(
-        algorithm, chunk_src.size(), plan, scope.MainShard());
-    uint64_t total = 0;
-    for (uint32_t size : plan.sizes) total += size;
-    // Placement at the look-back-resolved positions; bytes are identical
-    // to the CPU executor's prefix-sum placement (tests assert).
-    Bytes out = AssembleContainer(header, plan, offsets, total,
-                                  /*threads=*/1);
-    scope.Finish(arenas);
-    return out;
-}
-
-Bytes
-DecompressOnDevice(const Device& device, ByteSpan compressed,
-                   Telemetry* sink, TraceSink* trace)
-{
-    return RunDecompress(compressed, DecodeChunksOn(device, sink, trace),
-                         PreDecodeHook(sink, trace, simd::DefaultIsa()),
-                         trace);
-}
-
-void
-DecompressIntoOnDevice(const Device& device, ByteSpan compressed,
-                       std::span<std::byte> out, Telemetry* sink,
-                       TraceSink* trace)
-{
-    RunDecompressInto(compressed, out, DecodeChunksOn(device, sink, trace),
-                      PreDecodeHook(sink, trace, simd::DefaultIsa()), trace);
+    failure.Rethrow();
+    if (n_chunks > 0) wp.total = wp.offsets.back() + plan.sizes.back();
+    return wp;
 }
 
 void
 DecodeChunksOnDevice(const Device& device, const ContainerView& view,
                      const PipelineSpec& spec, std::byte* dest,
-                     Telemetry* sink, TraceSink* trace)
+                     uint64_t* block_hashes, std::span<ScratchArena> arenas)
 {
-    DecodeChunksOn(device, sink, trace)(view, spec, dest, nullptr);
+    FPC_CHECK(arenas.size() >= TeamSize(), "one arena per launch worker");
+    FirstFailure failure;
+    device.Launch(view.header.chunk_count, [&](ThreadBlock& block) {
+        const size_t c = block.BlockId();
+        failure.Run([&] {
+            ScratchArena& scratch = arenas[TeamWorkerId()];
+            const ChunkTimes times =
+                DecodeChunkAt(view, spec, c, dest, scratch,
+                              &DecodeChunkDevice, block_hashes);
+            // The decode block body is the chunk decode, so the block
+            // span shares the chunk span's extent.
+            RecordBlock(scratch, kTraceDecode, c, times.t0, times.t1);
+        });
+    });
+    failure.Rethrow();
 }
 
 }  // namespace fpc::gpusim

@@ -1,52 +1,44 @@
 /**
  * @file
- * Whole-buffer compression driven through the simulated device: one
- * thread block per chunk, scheduled across the profile's SMs, with the
- * compressed write positions communicated between blocks via Merrill &
- * Garland's decoupled look-back (paper Section 3.1). Produces exactly
- * the same container bytes as fpc::Compress; the GPU-figure benchmarks
- * run this path under the RTX 4090-like and A100-like profiles.
+ * The device backends' two scheduling hooks (core/executor.h): chunk
+ * work driven through the simulated device, one thread block per chunk
+ * scheduled across the profile's SMs. On encode the blocks communicate
+ * their write positions via Merrill & Garland's decoupled look-back
+ * (paper Section 3.1); on decode the chunk offsets come from the parsed
+ * chunk table and every block is independent. The compress and
+ * decompress drivers (core/orchestrate.h) do the rest, so the
+ * containers are exactly those of the cpu executor; the GPU-figure
+ * benchmarks run this path under the RTX 4090-like and A100-like
+ * profiles.
  */
 #ifndef FPC_GPUSIM_LAUNCH_H
 #define FPC_GPUSIM_LAUNCH_H
 
 #include "core/container.h"
+#include "core/orchestrate.h"
 #include "core/pipeline.h"
 #include "core/types.h"
 #include "gpusim/device.h"
 
 namespace fpc::gpusim {
 
-/** Compress via grid launch on @p device; container-identical to
- *  fpc::Compress(algorithm, input). Per-block counters accumulate into
- *  @p sink, and per-block/chunk/stage spans into @p trace (one shard and
- *  ring per launch worker, merged at the launch barrier), when they are
- *  non-null. @p adaptive selects per-chunk algorithms (mode=auto) into a
- *  version-3 container, byte-identical to the cpu executor's. */
-Bytes CompressOnDevice(const Device& device, Algorithm algorithm,
-                       ByteSpan input, Telemetry* sink = nullptr,
-                       TraceSink* trace = nullptr, bool adaptive = false);
+/** Encode hook: one block per chunk of @p plan runs EncodeChunkAt with
+ *  the device kernels on the arena of its host thread (@p arenas holds at
+ *  least TeamSize()), publishes its compressed size and resolves its
+ *  write position by looking back. Per-block spans go to the arenas'
+ *  trace rings. */
+WritePositions EncodeChunksOnDevice(const Device& device,
+                                    const PipelineSpec& spec, ByteSpan input,
+                                    ByteSpan chunk_src, EncodePlan& plan,
+                                    std::span<ScratchArena> arenas);
 
-/** Decompress via grid launch (chunk offsets from a prefix sum over the
- *  chunk table, then fully independent block decoding). */
-Bytes DecompressOnDevice(const Device& device, ByteSpan compressed,
-                         Telemetry* sink = nullptr,
-                         TraceSink* trace = nullptr);
-
-/** DecompressOnDevice into caller-owned memory of exactly original_size
- *  bytes (throws UsageError otherwise). */
-void DecompressIntoOnDevice(const Device& device, ByteSpan compressed,
-                            std::span<std::byte> out,
-                            Telemetry* sink = nullptr,
-                            TraceSink* trace = nullptr);
-
-/** Decode every chunk of @p view into @p dest through the grid launch —
- *  the Executor::DecodeChunks hook for the device backends, used by the
- *  ranged-read path to decode sub-containers with device scheduling. */
+/** Decode hook: one block per chunk of @p view runs DecodeChunkAt with the
+ *  device kernels into @p dest, hashing the chunk it wrote into
+ *  @p block_hashes when given. */
 void DecodeChunksOnDevice(const Device& device, const ContainerView& view,
                           const PipelineSpec& spec, std::byte* dest,
-                          Telemetry* sink = nullptr,
-                          TraceSink* trace = nullptr);
+                          uint64_t* block_hashes,
+                          std::span<ScratchArena> arenas);
 
 }  // namespace fpc::gpusim
 

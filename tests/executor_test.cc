@@ -10,7 +10,9 @@
  * version), not a side effect of a performance or scheduling change.
  * The chunk-checksum tests drive the CPU executor's shared-cursor chunk
  * loop (each worker hashes the chunks it decodes) through failures, edge
- * sizes and repetition at several thread counts.
+ * sizes and repetition at several thread counts. A test-local backend
+ * made of nothing but the two scheduling hooks pins that the drivers,
+ * not the backends, own container assembly and verification.
  */
 #include <gtest/gtest.h>
 
@@ -19,6 +21,7 @@
 #include "core/codec.h"
 #include "core/container.h"
 #include "core/executor.h"
+#include "core/orchestrate.h"
 #include "core/stream.h"
 #include "golden_form.h"
 #include "util/hash.h"
@@ -121,6 +124,99 @@ TEST(ExecutorRegistry, ResolveExecutorHonoursOptionsPrecedence)
     Options by_ref;
     by_ref.executor = &GetExecutor("cpu");
     EXPECT_EQ(&ResolveExecutor(by_ref), &GetExecutor("cpu"));
+}
+
+/** A backend that is only the two scheduling hooks, each a plain serial
+ *  loop on the first arena. It is not in the registry: calls select it
+ *  through Options::executor. */
+class SerialLoopExecutor final : public Executor {
+ public:
+    const std::string&
+    Name() const override
+    {
+        static const std::string name = "test-serial-loop";
+        return name;
+    }
+
+    ExecutorCaps
+    Capabilities() const override
+    {
+        return {.chunk_parallel = false};
+    }
+
+    WritePositions
+    EncodeChunks(const PipelineSpec& spec, ByteSpan input, ByteSpan chunk_src,
+                 EncodePlan& plan,
+                 std::span<ScratchArena> arenas) const override
+    {
+        for (size_t c = 0; c < plan.ChunkCount(); ++c) {
+            EncodeChunkAt(spec, input, chunk_src, c, arenas[0], &EncodeChunk,
+                          plan);
+        }
+        return ComputeWritePositions(plan.sizes);
+    }
+
+    void
+    DecodeChunks(const ContainerView& view, const PipelineSpec& spec,
+                 std::byte* dest, uint64_t* block_hashes,
+                 std::span<ScratchArena> arenas) const override
+    {
+        for (size_t c = 0; c < view.header.chunk_count; ++c) {
+            DecodeChunkAt(view, spec, c, dest, arenas[0], &DecodeChunk,
+                          block_hashes);
+        }
+    }
+};
+
+/** The drivers own the container: a hooks-only serial backend writes the
+ *  cpu executor's bytes for every algorithm in both modes, and its
+ *  containers round-trip through every decode entry point and have their
+ *  header checksum verified. */
+TEST(ExecutorHooks, SerialLoopBackendRunsThroughTheDrivers)
+{
+    const SerialLoopExecutor serial;
+    ASSERT_EQ(FindExecutor(serial.Name()), nullptr);
+    const Bytes input = MakeInput(5 * kChunkSize + 40, 0x5e71);
+    for (bool adaptive : {false, true}) {
+        for (Algorithm algorithm : kAlgorithms) {
+            SCOPED_TRACE(std::string(AlgorithmName(algorithm)) +
+                         (adaptive ? ", mode=auto" : ", fixed"));
+            const Options local =
+                Options{}.with_executor(serial).with_adaptive(adaptive);
+            const Options cpu =
+                Options{}.with_executor("cpu").with_adaptive(adaptive);
+            const Bytes container =
+                Compress(algorithm, ByteSpan(input), local);
+            EXPECT_EQ(container, Compress(algorithm, ByteSpan(input), cpu));
+
+            EXPECT_EQ(Decompress(ByteSpan(container), local), input);
+            Bytes into(input.size());
+            DecompressInto(ByteSpan(container), std::span<std::byte>(into),
+                           local);
+            EXPECT_EQ(into, input);
+            // Elements spanning chunks 2 and 3 (the whole frame for
+            // DPratio, whose FCM pre-stage is whole-input).
+            const size_t word = AlgorithmWordSize(algorithm);
+            const size_t first = (2 * kChunkSize - 12) / word;
+            const size_t count = (kChunkSize + 24) / word;
+            const Bytes range =
+                DecompressRange(ByteSpan(container), first, count, local);
+            EXPECT_EQ(range, Bytes(input.begin() + first * word,
+                                   input.begin() + (first + count) * word));
+
+            Bytes flipped = container;
+            flipped[24] ^= std::byte{0x01};  // low byte of the checksum
+            try {
+                Decompress(ByteSpan(flipped), local);
+                ADD_FAILURE() << "flipped checksum bit not detected";
+            } catch (const CorruptStreamError& e) {
+                EXPECT_NE(std::string(e.what()).find(
+                              "content checksum mismatch"),
+                          std::string::npos)
+                    << e.what();
+            }
+        }
+    }
 }
 
 /** Every registered backend must emit byte-identical containers and must

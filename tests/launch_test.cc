@@ -1,14 +1,16 @@
 /**
  * @file
- * Tests for the device-launch compression path (gpusim/launch.h): the
- * grid-scheduled, decoupled-look-back pipeline must produce container
- * bytes identical to fpc::Compress on both device profiles, and the
+ * Tests for the device backends' scheduling hooks (gpusim/launch.h): the
+ * grid-scheduled, decoupled-look-back encode must find the same write
+ * positions as the prefix sum and, through the drivers, produce container
+ * bytes identical to the cpu executor's on both device profiles; the
  * BitArena used by the kernels must match BitWriter/BitReader layout
  * exactly, including the fast/slow path boundary of BitReader.
  */
 #include <gtest/gtest.h>
 
 #include "core/codec.h"
+#include "core/executor.h"
 #include "data/fields.h"
 #include "gpusim/bit_arena.h"
 #include "gpusim/launch.h"
@@ -24,34 +26,51 @@ TEST(Launch, ContainerIdenticalToHostCompress)
     Bytes input(doubles.size() * 8);
     std::memcpy(input.data(), doubles.data(), input.size());
 
-    for (const DeviceProfile* profile :
-         {&Rtx4090Profile(), &A100Profile()}) {
-        Device device(*profile);
+    for (const char* backend : {"gpusim:4090", "gpusim:a100"}) {
+        const Options device = Options{}.with_executor(backend);
         for (Algorithm a : {Algorithm::kSPspeed, Algorithm::kSPratio,
                             Algorithm::kDPspeed, Algorithm::kDPratio}) {
             Bytes host = Compress(a, ByteSpan(input));
-            Bytes dev = CompressOnDevice(device, a, ByteSpan(input));
-            ASSERT_EQ(host, dev)
-                << AlgorithmName(a) << " on " << profile->name;
-            EXPECT_EQ(DecompressOnDevice(device, ByteSpan(dev)), input);
+            Bytes dev = Compress(a, ByteSpan(input), device);
+            ASSERT_EQ(host, dev) << AlgorithmName(a) << " on " << backend;
+            EXPECT_EQ(Decompress(ByteSpan(dev), device), input);
         }
     }
 }
 
 TEST(Launch, ManyChunksExerciseLookback)
 {
-    // Enough chunks that resident-block scheduling and look-back matter.
+    // Enough chunks that the dynamic block schedule and the look-back
+    // matter: the encode hook's write positions must equal the prefix
+    // sum, and each hook must launch one block per chunk.
     auto floats =
         data::ToFloats(data::SmoothField(1 << 20, 6, 5, 0.001));
     Bytes input(floats.size() * 4);
     std::memcpy(input.data(), floats.data(), input.size());
+    const PipelineSpec& spec = GetPipeline(Algorithm::kSPspeed);
+    const size_t n_chunks = ChunkCountOf(input.size());
 
     Device device(Rtx4090Profile());
-    Bytes dev = CompressOnDevice(device, Algorithm::kSPspeed,
-                                 ByteSpan(input));
+    std::vector<ScratchArena> arenas(TeamSize());
+    EncodePlan plan(n_chunks, input.size());
+    const WritePositions wp = EncodeChunksOnDevice(
+        device, spec, ByteSpan(input), ByteSpan(input), plan, arenas);
     EXPECT_EQ(device.BlocksExecuted(), input.size() / kChunkSize);
+    const WritePositions scan = ComputeWritePositions(plan.sizes);
+    EXPECT_EQ(wp.offsets, scan.offsets);
+    EXPECT_EQ(wp.total, scan.total);
+
+    const ContainerHeader header = MakeContainerHeader(
+        Algorithm::kSPspeed, input.size(), plan, nullptr);
+    const Bytes dev =
+        AssembleContainer(header, plan, wp.offsets, wp.total, 1);
     EXPECT_EQ(dev, Compress(Algorithm::kSPspeed, ByteSpan(input)));
-    EXPECT_EQ(Decompress(ByteSpan(dev)), input);
+
+    const ContainerView view = ParseContainer(ByteSpan(dev));
+    Bytes out(input.size());
+    DecodeChunksOnDevice(device, view, spec, out.data(), nullptr, arenas);
+    EXPECT_EQ(device.BlocksExecuted(), n_chunks);
+    EXPECT_EQ(out, input);
 }
 
 TEST(BitArena, MatchesBitWriterLayout)

@@ -7,7 +7,7 @@
  *    including empty, sub-vector, and odd-tail sizes;
  *  - the ISA golden matrix: the PR 2 golden container checksums must
  *    hold under every kernel level on the cpu backend (Options::with_isa)
- *    and on the gpusim backends (which follow the process default), and
+ *    and on the gpusim backends (forced process-wide), and
  *    containers must decode across levels — the wire format is pinned by
  *    the scalar semantics, so any divergence here is a kernel bug, not a
  *    format change;
@@ -431,8 +431,9 @@ TEST(SimdGoldenMatrix, CpuBackendEveryIsaLevel)
     }
 }
 
-/** gpusim backends follow the process default level (no per-call knob):
- *  force each level process-wide and re-assert the same goldens. */
+/** gpusim backends under each level: with Options::isa left at auto the
+ *  drivers take the process default, so force each level process-wide
+ *  and re-assert the same goldens. */
 TEST(SimdGoldenMatrix, GpusimBackendsEveryIsaLevel)
 {
     for (Isa isa : kAllLevels) {
