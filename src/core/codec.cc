@@ -12,22 +12,6 @@ namespace fpc {
 
 namespace {
 
-/** Reject typed decompression of a container whose algorithm holds the
- *  other element width (e.g. NextFloats/DecompressFloats on a DP*
- *  container) before any payload bytes are reinterpreted. */
-void
-CheckElementSize(ByteSpan compressed, size_t element_size,
-                 const char* caller)
-{
-    const Algorithm algorithm = static_cast<Algorithm>(
-        ParseContainer(compressed).header.algorithm);
-    if (AlgorithmWordSize(algorithm) != element_size) {
-        throw UsageError(std::string(caller) + ": container holds " +
-                         AlgorithmName(algorithm) + " data, not " +
-                         std::to_string(element_size) + "-byte elements");
-    }
-}
-
 /** Frame body bytes: a zero-copy view when the source supports one, a
  *  ReadAt copy into @p staging otherwise. */
 ByteSpan
@@ -224,28 +208,28 @@ DecompressRange(ByteSpan stream, uint64_t first_value, uint64_t count,
                            expected_word, caller);
 }
 
-std::vector<float>
-DecompressFloats(ByteSpan compressed, const Options& options)
+size_t
+TypedElementCount(ByteSpan compressed, size_t element_size,
+                  const char* caller)
 {
-    CheckElementSize(compressed, sizeof(float), "DecompressFloats");
-    Bytes raw = fpc::Decompress(compressed, options);
-    FPC_PARSE_CHECK(raw.size() % sizeof(float) == 0,
-                    "payload is not a float array");
-    std::vector<float> values(raw.size() / sizeof(float));
-    std::memcpy(values.data(), raw.data(), raw.size());
-    return values;
-}
-
-std::vector<double>
-DecompressDoubles(ByteSpan compressed, const Options& options)
-{
-    CheckElementSize(compressed, sizeof(double), "DecompressDoubles");
-    Bytes raw = fpc::Decompress(compressed, options);
-    FPC_PARSE_CHECK(raw.size() % sizeof(double) == 0,
-                    "payload is not a double array");
-    std::vector<double> values(raw.size() / sizeof(double));
-    std::memcpy(values.data(), raw.data(), raw.size());
-    return values;
+    MemoryByteSource source(compressed);
+    const ContainerHeader header =
+        ParseContainerHeader(source, 0, compressed.size());
+    const Algorithm algorithm = static_cast<Algorithm>(header.algorithm);
+    if (AlgorithmWordSize(algorithm) != element_size) {
+        throw UsageError(std::string(caller) + ": container holds " +
+                         AlgorithmName(algorithm) + " data, not " +
+                         std::to_string(element_size) + "-byte elements");
+    }
+    // The vector is sized from the header before the decode checks the
+    // sizes against the pipeline: bound it by the file-bounded
+    // transformed size (no pipeline shrinks its input) so a forged
+    // original_size cannot drive the allocation.
+    FPC_PARSE_CHECK(header.original_size <= header.transformed_size,
+                    "original size exceeds transformed size");
+    FPC_PARSE_CHECK(header.original_size % element_size == 0,
+                    "payload is not a whole number of elements");
+    return static_cast<size_t>(header.original_size / element_size);
 }
 
 }  // namespace detail
@@ -390,13 +374,6 @@ Codec::RequireWordSize(size_t element_size, const char* caller) const
                          "-byte elements, got " +
                          std::to_string(element_size) + "-byte elements");
     }
-}
-
-void
-Codec::RequireContainerWordSize(ByteSpan compressed, size_t element_size,
-                                const char* caller)
-{
-    CheckElementSize(compressed, element_size, caller);
 }
 
 }  // namespace fpc

@@ -67,12 +67,13 @@ void DecompressInto(ByteSpan compressed, std::span<std::byte> out,
 enum class Mode : uint8_t { kSpeed, kRatio, kAuto };
 
 namespace detail {
-/** Typed decode implementations behind Codec::decompress_as (validate
- *  the container's element width, then decode). */
-std::vector<float> DecompressFloats(ByteSpan compressed,
-                                    const Options& options);
-std::vector<double> DecompressDoubles(ByteSpan compressed,
-                                      const Options& options);
+/** The element count of the container in @p compressed, read from its
+ *  fixed header alone: throws UsageError when its algorithm holds
+ *  elements of another width than @p element_size, CorruptStreamError
+ *  when the header is damaged or original_size is not a whole number
+ *  of elements. */
+size_t TypedElementCount(ByteSpan compressed, size_t element_size,
+                         const char* caller);
 
 /** Shared ranged-decode implementation (see DecompressRange below).
  *  @p expected_word, when non-zero, is the caller's element width; a
@@ -222,23 +223,24 @@ class Codec {
     void
     decompress_into(ByteSpan compressed, std::span<T> out) const
     {
-        RequireContainerWordSize(compressed, sizeof(T),
-                                 "Codec::decompress_into");
+        (void)detail::TypedElementCount(compressed, sizeof(T),
+                                        "Codec::decompress_into");
         decompress_into(compressed, std::as_writable_bytes(out));
     }
 
-    /** Decompress into a typed vector; validates the element width. */
+    /** Decompress into a typed vector; validates the element width.
+     *  The vector is sized from the header and decoded into directly. */
     template <typename T>
     std::vector<T>
     decompress_as(ByteSpan compressed) const
     {
         static_assert(std::is_same_v<T, float> || std::is_same_v<T, double>,
                       "fpc::Codec::decompress_as supports float and double");
-        if constexpr (std::is_same_v<T, float>) {
-            return detail::DecompressFloats(compressed, options_);
-        } else {
-            return detail::DecompressDoubles(compressed, options_);
-        }
+        std::vector<T> values(detail::TypedElementCount(
+            compressed, sizeof(T), "Codec::decompress_as"));
+        decompress_into(compressed,
+                        std::as_writable_bytes(std::span<T>(values)));
+        return values;
     }
 
     /** Ranged decode through this codec's backend and options (see the
@@ -311,9 +313,6 @@ class Codec {
 
  private:
     void RequireWordSize(size_t element_size, const char* caller) const;
-    static void RequireContainerWordSize(ByteSpan compressed,
-                                         size_t element_size,
-                                         const char* caller);
 
     Algorithm algorithm_;
     Options options_;

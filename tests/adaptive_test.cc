@@ -13,7 +13,10 @@
  *  - probe/selection determinism, Options::with_mode and Mode::kAuto
  *    plumbing, Inspect's adaptive fields, ranged reads on adaptive
  *    streams, and the telemetry v7 adaptive counters, including the
- *    inputs of bench_regress's probe gate.
+ *    inputs of the probe budget;
+ *  - the probe budget itself (ProbeBudget, run alone as the serial
+ *    `probe_budget` ctest entry): probing costs at most 5% of the
+ *    encode work on a seeded corpus, on both backends.
  */
 #include <gtest/gtest.h>
 
@@ -388,8 +391,8 @@ TEST(AdaptiveSelect, TelemetryCountsProbesAndSelections)
     EXPECT_EQ(fixed.counters.adaptive_trials, 0u);
 }
 
-// bench_regress budgets the probe at 5% of the encode work: probe plus
-// stage encode time, summed over the same per-worker shards. Pin what
+// ProbeBudget below budgets the probe at 5% of the encode work: probe
+// plus stage encode time, summed over the same per-worker shards. Pin what
 // that ratio relies on, with no timing bound: at one worker the probe
 // and stage intervals are disjoint and lie inside the compress wall
 // interval (so the share is never below probe / compress wall), and
@@ -425,6 +428,51 @@ TEST(AdaptiveSelect, ProbeShareInputsCountTheSameWorkAtEveryThreadCount)
         EXPECT_EQ(four.counters.stages[s].encode.calls,
                   one.counters.stages[s].encode.calls)
             << StageName(static_cast<StageId>(s));
+    }
+}
+
+// The probe must stay cheap: probing may cost at most 5% of the encode
+// work, that is probe plus stage encode time (trial encodes included),
+// summed over the same workers, on a seeded corpus (16384 values per
+// file, SP suite at scale 0.1, DP suite at 0.25) on both backends. Both
+// sides are per-worker thread time, so the share does not move with the
+// thread count the way a share of elapsed compress wall time does.
+// Timing-sensitive: ctest runs it alone as `probe_budget` (RUN_SERIAL)
+// and filters it out of the plain adaptive_test entry.
+TEST(ProbeBudget, ProbeCostsAtMostFivePercentOfTheEncodeWork)
+{
+    if (!kTelemetryEnabled) GTEST_SKIP() << "FPC_TELEMETRY=0";
+    data::SuiteConfig sp_config;
+    sp_config.values_per_file = 16384;
+    sp_config.file_scale = 0.1;
+    data::SuiteConfig dp_config = sp_config;
+    dp_config.file_scale = 0.25;
+    const std::vector<eval::EvalInput> sp_inputs =
+        eval::ToInputs(data::SingleSuite(sp_config));
+    const std::vector<eval::EvalInput> dp_inputs =
+        eval::ToInputs(data::DoubleSuite(dp_config));
+    eval::EvalConfig eval_config;
+    eval_config.runs = 3;
+
+    for (const char* backend : {"cpu", "gpusim:4090"}) {
+        const Executor& executor = GetExecutor(backend);
+        for (Algorithm width : {Algorithm::kSPspeed, Algorithm::kDPspeed}) {
+            const bool dp = AlgorithmWordSize(width) == 8;
+            const eval::CodecResult result = eval::Evaluate(
+                eval::OurAdaptiveCodec(width, executor),
+                dp ? dp_inputs : sp_inputs, eval_config);
+            const TelemetryShard& counters = result.telemetry.counters;
+            const uint64_t probe_ns = counters.adaptive_probe_ns;
+            uint64_t encode_work_ns = probe_ns;
+            for (const StageMetrics& stage : counters.stages)
+                encode_work_ns += stage.encode.wall_ns;
+            ASSERT_GT(probe_ns, 0u) << result.name << "@" << backend;
+            EXPECT_LE(probe_ns * 20, encode_work_ns)
+                << result.name << "@" << backend << ": probe "
+                << 100.0 * static_cast<double>(probe_ns) /
+                       static_cast<double>(encode_work_ns)
+                << "% of the encode work";
+        }
     }
 }
 

@@ -193,6 +193,20 @@ TEST(Codec, TypedFacadeRoundTrip)
     EXPECT_EQ(Codec::inspect(ByteSpan(d)).algorithm, Algorithm::kDPratio);
 }
 
+// decompress_as sizes its vector from the header before the decode
+// checks the sizes against the pipeline, so a forged original_size must
+// be refused first, not allocated.
+TEST(Codec, TypedDecodeRefusesForgedOriginalSizeBeforeAllocating)
+{
+    auto floats = data::ToFloats(data::SmoothField(5000, 5, 4, 0.01));
+    const Codec codec = Codec::For<float>(Mode::kSpeed);
+    Bytes c = codec.compress(std::span<const float>(floats));
+    const uint64_t forged = uint64_t{1} << 62;  // original_size, byte 8
+    std::memcpy(c.data() + 8, &forged, sizeof(forged));
+    EXPECT_THROW(codec.decompress_as<float>(ByteSpan(c)),
+                 CorruptStreamError);
+}
+
 TEST(Codec, SpecialFloatValues)
 {
     std::vector<float> values;

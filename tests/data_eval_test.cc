@@ -2,8 +2,9 @@
  * @file
  * Tests for the synthetic dataset suites and the evaluation harness:
  * determinism, suite layout (7 SP + 5 DP domains mirroring the paper's
- * 90/20 file split), property sanity of the generated data, and the
- * harness's aggregation and verification behaviour.
+ * 90/20 file split), property sanity of the generated data, the
+ * harness's aggregation and verification behaviour, and the ratio floor
+ * of every pipeline and of mode=auto on a fixed seeded corpus.
  */
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/executor.h"
 #include "data/datasets.h"
 #include "data/fields.h"
 #include "eval/harness.h"
@@ -211,6 +213,60 @@ TEST(Report, StageCsvHeaderPinned)
         EXPECT_GT(rows, 0u);
     } else {
         EXPECT_EQ(rows, 0u);
+    }
+}
+
+/** The ratio each codec reached on the seeded corpus below when the
+ *  floor was set, truncated to 6 decimals. */
+struct RatioFloor {
+    const char* name;
+    Algorithm algorithm;  ///< the fixed pipeline, or auto's width
+    bool adaptive;
+    double floor;
+};
+
+constexpr RatioFloor kRatioFloors[] = {
+    {"SPspeed", Algorithm::kSPspeed, false, 1.542469},
+    {"SPratio", Algorithm::kSPratio, false, 1.688992},
+    {"DPspeed", Algorithm::kDPspeed, false, 1.354372},
+    {"DPratio", Algorithm::kDPratio, false, 1.484752},
+    {"auto-SP", Algorithm::kSPspeed, true, 1.688992},
+    {"auto-DP", Algorithm::kDPspeed, true, 1.492474},
+};
+
+// The ratio gate: no pipeline and no mode=auto width may lose ratio on
+// a fixed corpus (16384 values per file, SP suite at scale 0.1, DP
+// suite at 0.25), on either backend. Ratios are deterministic, so one
+// run each suffices, and Evaluate verifies every round trip. The golden
+// checksums pin the fixed pipelines' bytes exactly; the auto floors are
+// the only pin on mode=auto's choices.
+TEST(RatioFloor, SeededCorpusHoldsEveryRatioOnBothBackends)
+{
+    data::SuiteConfig sp_config;
+    sp_config.values_per_file = 16384;
+    sp_config.file_scale = 0.1;
+    data::SuiteConfig dp_config = sp_config;
+    dp_config.file_scale = 0.25;
+    const std::vector<eval::EvalInput> sp_inputs =
+        eval::ToInputs(data::SingleSuite(sp_config));
+    const std::vector<eval::EvalInput> dp_inputs =
+        eval::ToInputs(data::DoubleSuite(dp_config));
+    eval::EvalConfig eval_config;
+    eval_config.runs = 1;
+
+    for (const char* backend : {"cpu", "gpusim:4090"}) {
+        const Executor& executor = GetExecutor(backend);
+        for (const RatioFloor& want : kRatioFloors) {
+            const bool dp = AlgorithmWordSize(want.algorithm) == 8;
+            const eval::CodecResult result = eval::Evaluate(
+                want.adaptive
+                    ? eval::OurAdaptiveCodec(want.algorithm, executor)
+                    : eval::OurCodec(want.algorithm, executor),
+                dp ? dp_inputs : sp_inputs, eval_config);
+            EXPECT_EQ(result.name, want.name);
+            EXPECT_GE(result.ratio, want.floor)
+                << want.name << "@" << backend;
+        }
     }
 }
 

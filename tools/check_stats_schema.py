@@ -35,22 +35,6 @@ validates every JSON object whose schema tag it recognises:
   - every event is Chrome trace-event shaped: ph "M" (metadata) or "X"
     (complete span with numeric ts/dur >= 0, name, pid, tid).
 
-``fpc.bench.v1`` (bench/bench_regress.cc, bench/bench_seek.cc, and
-bench/bench_service.cc):
-  - config block carrying the corpus/stream fingerprint and machine
-    facts (corpus-shaped reports name values_per_file and the scales,
-    seek-shaped reports name frames/values_per_frame/queries,
-    service-shaped reports name tenants/requests_per_tenant/
-    values_per_request/workers);
-  - results entries with algorithm, backend, positive ratio and
-    throughputs, and valid latency digests (chunk_encode/chunk_decode
-    required for corpus-shaped reports, range_read for ranged ones,
-    request for service-shaped ones);
-  - mode=auto entries (those carrying probe_ns): probe_ns,
-    encode_work_ns (probe plus stage encode time, summed over the same
-    workers — the probe gate's denominator) and compress_wall_ns, all
-    non-negative integers with probe_ns <= encode_work_ns.
-
 ``fpc.metrics.v1`` (``MetricsRegistry::Exposition``, src/core/metrics.cc;
 the daemon's /metrics and ``fpcc metrics`` output):
   - a ``# fpc.metrics.v1`` marker line followed by Prometheus
@@ -78,7 +62,6 @@ import sys
 
 TELEMETRY_TAG = "fpc.telemetry.v7"
 TRACE_TAG = "fpc.trace.v1"
-BENCH_TAG = "fpc.bench.v1"
 METRICS_TAG = "fpc.metrics.v1"
 
 STAGE_ORDER = ["DIFFMS", "MPLG", "BIT", "RZE", "FCM", "RAZE", "RARE"]
@@ -115,10 +98,6 @@ RANGED_FIELDS = [
 ]
 
 ALGORITHMS = ["SPspeed", "SPratio", "DPspeed", "DPratio"]
-
-# Valid bench-entry algorithm labels: the four pipelines plus the
-# per-chunk adaptive mode (one entry per element width).
-BENCH_ALGORITHMS = ALGORITHMS + ["auto", "auto-SP", "auto-DP"]
 
 ADAPTIVE_FIELDS = [
     "raw_chunks",
@@ -379,91 +358,6 @@ def check_trace_content(line_no, doc):
     return True
 
 
-def check_probe_fields(line_no, where, entry):
-    """The mode=auto probe gate's inputs (bench/bench_regress.cc)."""
-    ok = True
-    for field in ("probe_ns", "encode_work_ns", "compress_wall_ns"):
-        value = entry.get(field)
-        if not isinstance(value, int) or value < 0:
-            ok = fail(line_no, f"{where}.{field} missing or not a"
-                               f" non-negative integer: {value!r}")
-    if ok and entry["probe_ns"] > entry["encode_work_ns"]:
-        ok = fail(line_no, f"{where}.probe_ns {entry['probe_ns']} exceeds"
-                           f" encode_work_ns {entry['encode_work_ns']}")
-    return ok
-
-
-def check_bench(line_no, doc):
-    ok = True
-    config = doc.get("config")
-    # bench_regress reports carry the corpus knobs, bench_seek reports
-    # the stream/query knobs, bench_service reports the tenant-load
-    # knobs. All share the fingerprint and the machine facts.
-    corpus_shaped = isinstance(config, dict) and "values_per_file" in config
-    service_shaped = isinstance(config, dict) and "tenants" in config
-    if not isinstance(config, dict):
-        ok = fail(line_no, "config missing or not an object")
-    else:
-        if corpus_shaped:
-            int_fields = ("values_per_file", "runs", "repeats", "threads")
-        elif service_shaped:
-            int_fields = ("tenants", "requests_per_tenant",
-                          "values_per_request", "workers", "window",
-                          "threads")
-        else:
-            int_fields = ("frames", "values_per_frame", "queries",
-                          "range_elements", "repeats", "threads")
-        for field in int_fields:
-            value = config.get(field)
-            if not isinstance(value, int) or value <= 0:
-                ok = fail(line_no, f"config.{field} missing or invalid:"
-                                   f" {value!r}")
-        if corpus_shaped:
-            for field in ("sp_scale", "dp_scale"):
-                value = config.get(field)
-                if not isinstance(value, (int, float)) or value <= 0:
-                    ok = fail(line_no, f"config.{field} missing or"
-                                       f" invalid: {value!r}")
-        if not isinstance(config.get("fingerprint"), str) \
-                or not config["fingerprint"]:
-            ok = fail(line_no, "config.fingerprint missing or empty")
-    results = doc.get("results")
-    if not isinstance(results, list) or not results:
-        return fail(line_no, "results missing, not an array, or empty")
-    for i, entry in enumerate(results):
-        where = f"results[{i}]"
-        if not isinstance(entry, dict):
-            ok = fail(line_no, f"{where} is not an object")
-            continue
-        if entry.get("algorithm") not in BENCH_ALGORITHMS:
-            ok = fail(line_no, f"{where}.algorithm is"
-                               f" {entry.get('algorithm')!r}")
-        if not isinstance(entry.get("backend"), str) \
-                or not entry["backend"]:
-            ok = fail(line_no, f"{where}.backend missing or empty")
-        for field in ("ratio", "compress_gbps", "decompress_gbps"):
-            value = entry.get(field)
-            if not isinstance(value, (int, float)) or value <= 0:
-                ok = fail(line_no, f"{where}.{field} missing or not"
-                                   f" positive: {value!r}")
-        if "probe_ns" in entry:
-            ok = check_probe_fields(line_no, where, entry) and ok
-        hists = entry.get("histograms")
-        if not isinstance(hists, dict):
-            ok = fail(line_no, f"{where}.histograms missing")
-            continue
-        if corpus_shaped:
-            for key in ("chunk_encode", "chunk_decode"):
-                if key not in hists:
-                    ok = fail(line_no, f"{where}.histograms lacks {key}")
-        elif service_shaped and "request" not in hists:
-            ok = fail(line_no, f"{where}.histograms lacks request")
-        for key, digest in hists.items():
-            ok = check_digest(line_no, f"{where}.histograms.{key}",
-                              digest) and ok
-    return ok
-
-
 # One exposition sample: name, optional {label="value",...} block,
 # integer value (gauges may be negative; histogram buckets also carry
 # le="+Inf"). MetricsRegistry renders integers only — no floats.
@@ -642,17 +536,13 @@ def main(argv):
             line_ok = check_trace(line_no, doc)
             if line_ok and not allow_empty:
                 line_ok = check_trace_content(line_no, doc)
-        elif tag == BENCH_TAG:
-            seen += 1
-            line_ok = check_bench(line_no, doc)
         else:
             continue
         ok = line_ok and ok
 
     if seen == 0:
         print("check_stats_schema: no recognised schema lines found"
-              f" ({TELEMETRY_TAG} / {TRACE_TAG} / {BENCH_TAG} /"
-              f" {METRICS_TAG})",
+              f" ({TELEMETRY_TAG} / {TRACE_TAG} / {METRICS_TAG})",
               file=sys.stderr)
         return 1
     if ok:

@@ -6,8 +6,8 @@
 # Configurations:
 #   default        — Release, telemetry hooks compiled in (the shipping
 #                    config). Runs the full suite, which includes the
-#                    standing perf-regression gate (ctest -L bench:
-#                    bench_regress vs the last committed BENCH_pr<N>.json)
+#                    ratio floor (data_eval_test), the mode=auto probe
+#                    budget and the fpc_bench smoke (ctest -L bench)
 #                    and the span-tracer reconciliation (ctest -L
 #                    telemetry), then exports a figure-bench timeline via
 #                    FPC_BENCH_TRACE and schema-checks the fpc.trace.v1
@@ -17,14 +17,14 @@
 #                    still builds and the wire format is unchanged
 #                    (telemetry_test asserts empty sinks, trace_test
 #                    asserts empty-but-valid trace exports, the
-#                    golden-checksum tests pin the bytes). The bench gate
-#                    still runs: ratios are still compared, throughput is
-#                    skipped because the recorded telemetry flag differs
-#                    from the committed baseline.
+#                    golden-checksum tests pin the bytes). The ratio
+#                    floor still runs; probe_budget skips, having no
+#                    telemetry to read.
 #   forced-scalar  — the default build re-tested with FPC_FORCE_SCALAR=1:
 #                    every kernel dispatches to the portable reference
 #                    implementations, proving the wire format (golden
-#                    checksums) and the whole suite hold without vector
+#                    checksums), the ratio floors (mode=auto's included)
+#                    and the whole suite hold without vector
 #                    kernels at runtime. Reuses the default build tree —
 #                    dispatch is a runtime decision.
 #   simd-off       — -DFPC_SIMD=OFF: the vector translation units are not
@@ -265,17 +265,19 @@ python3 "${root}/tools/check_stats_schema.py" "${svc_dir}/fpcd_stats.json"
 rm -rf "${svc_dir}"
 
 # Live-metrics + drain-reconcile smoke: fpcd with a --metrics-socket
-# exporter, driven by bench_service in socket mode (polite tenants over
-# real daemon connections). Mid-run the HTTP /metrics endpoint is
-# scraped with a 50 ms latency budget and schema-checked, while a client
-# that sent half a frame length holds a protocol connection open (the
-# daemon's one event loop must answer the scrape anyway, then cut the
-# stalled client after its 2 s stall timeout); after the
-# load settles a final scrape is taken and the daemon is drained with
-# SIGTERM. The registry is checked against an outside truth, the
-# requests bench_service completed (it exits non-zero on any failure):
-# the sum of the ok fpc_service_requests_total samples must equal
-# TENANTS x 2 x REQUESTS both in the final scrape and in the
+# exporter, driven by one fpcc loop per tenant, all in parallel: each
+# sends REQUESTS compresses and then REQUESTS decompresses of its own
+# 256 KiB smooth field, one daemon connection per request. Mid-run the
+# HTTP /metrics endpoint is scraped with a 50 ms latency budget and
+# schema-checked, while a client that sent half a frame length holds a
+# protocol connection open (the daemon's one event loop must answer the
+# scrape anyway, then cut the stalled client after its 2 s stall
+# timeout); after the load settles a final scrape is taken and the
+# daemon is drained with SIGTERM. The registry is checked against an
+# outside truth, the requests the clients completed (every fpcc call
+# must exit 0, and each tenant's last decompress must restore its input
+# byte for byte): the sum of the ok fpc_service_requests_total samples
+# must equal TENANTS x 2 x REQUESTS both in the final scrape and in the
 # exposition fpcd writes to stderr at drain. The v7 telemetry the
 # daemon wrote to --stats-file is schema-checked.
 echo "==> [default] live metrics + drain reconcile"
@@ -300,13 +302,41 @@ while [ ! -S "${met_sock}" ] || [ ! -S "${met_http}" ]; do
 done
 met_tenants=4
 met_requests=32
-FPC_BENCH_SERVICE_SOCKET="${met_sock}" \
-    FPC_BENCH_SERVICE_TENANTS="${met_tenants}" \
-    FPC_BENCH_SERVICE_REQUESTS="${met_requests}" \
-    FPC_BENCH_SERVICE_VALUES=65536 \
-    "${out}/default/bench/bench_service" "${met_dir}/bench.json" \
-    2> "${met_dir}/bench_stderr.log" &
-bench_pid=$!
+python3 - "${met_dir}" "${met_tenants}" <<'EOF'
+import random, struct, sys
+work, tenants = sys.argv[1], int(sys.argv[2])
+for t in range(tenants):
+    rng = random.Random(t + 1)
+    x, out = 100.0, []
+    for _ in range(65536):
+        x += rng.uniform(-0.25, 0.25)
+        out.append(x)
+    with open(f"{work}/t{t}.bin", "wb") as f:
+        f.write(struct.pack(f"<{len(out)}f", *out))
+EOF
+load_pids=""
+t=0
+while [ "${t}" -lt "${met_tenants}" ]; do
+    (
+        set -eu
+        i=0
+        while [ "${i}" -lt "${met_requests}" ]; do
+            "${out}/default/fpcc" "--socket=${met_sock}" "--tenant=t${t}" \
+                compress -a SPspeed "${met_dir}/t${t}.bin" \
+                "${met_dir}/t${t}.fpcz"
+            i=$((i + 1))
+        done
+        i=0
+        while [ "${i}" -lt "${met_requests}" ]; do
+            "${out}/default/fpcc" "--socket=${met_sock}" "--tenant=t${t}" \
+                decompress "${met_dir}/t${t}.fpcz" "${met_dir}/t${t}.out"
+            i=$((i + 1))
+        done
+        cmp "${met_dir}/t${t}.bin" "${met_dir}/t${t}.out"
+    ) &
+    load_pids="${load_pids} $!"
+    t=$((t + 1))
+done
 python3 - "${met_sock}" <<'EOF' &
 import socket, sys, time
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -353,8 +383,9 @@ EOF
 python3 "${root}/tools/check_stats_schema.py" \
     "${met_dir}/scrape_midrun.txt"
 wait "${stall_pid}"
-wait "${bench_pid}"
-python3 "${root}/tools/check_stats_schema.py" "${met_dir}/bench.json"
+for pid in ${load_pids}; do
+    wait "${pid}"
+done
 # Admin surface through the framed protocol: the exposition and the
 # health document are also served over the daemon socket itself.
 "${out}/default/fpcc" "--socket=${met_sock}" metrics \
@@ -369,7 +400,7 @@ grep -q '"protocol_errors": 0,' "${met_dir}/server_stats.json"
 grep -q '"stalled": 1,' "${met_dir}/server_stats.json"
 # Final scrape with the daemon idle, then a SIGTERM drain; both the
 # last scrape and the drain-time exposition must count exactly the
-# requests bench_service completed.
+# requests the fpcc clients completed.
 python3 - "${met_http}" "${met_dir}/scrape_final.txt" 5000 <<'EOF'
 import socket, sys, time
 path, out, budget_ms = sys.argv[1], sys.argv[2], float(sys.argv[3])
@@ -403,17 +434,16 @@ for path in sys.argv[2:]:
     with open(path, errors="replace") as f:
         total = sum(int(m.group(1)) for m in map(ok.match, f) if m)
     print(f"metrics smoke: {path}: {total} ok requests "
-          f"(bench_service completed {completed})")
+          f"(the clients completed {completed})")
     if total != completed:
         sys.exit("metrics smoke: the registry does not count the requests "
-                 "bench_service completed")
+                 "the clients completed")
 EOF
 rm -rf "${met_dir}"
 
 # Forced-scalar dispatch over the default build: same binaries, kernel
-# tables pinned to the portable reference. The bench gate still runs;
-# compare_bench skips throughput (the recorded ISA differs from the
-# committed baseline) and keeps gating the ratios.
+# tables pinned to the portable reference. The ratio floors and the
+# probe budget run against the scalar kernels.
 echo "==> [forced-scalar] test (default build, FPC_FORCE_SCALAR=1)"
 FPC_FORCE_SCALAR=1 ctest --test-dir "${out}/default" \
     --output-on-failure -j "${jobs}"
